@@ -1,11 +1,12 @@
 """Exact Bernoulli and tangent numbers at large index.
 
 Tangent numbers ``T_n = 2^{2n}(2^{2n}-1)|B_{2n}|/2n`` are integers and are
-computed by Seidel's boustrophedon triangle: each row of the zigzag
-triangle is obtained from the previous one by alternating partial sums,
-using big-integer additions only, and the odd-row corner entries are the
-tangent numbers.  Computing ``T_1..T_n`` this way costs ``O(n^2)``
-big-integer additions and one triangle row of memory.
+computed column by column with Brent and Harvey's TangentNumbers recurrence
+(arXiv:1108.0286).  With ``h_j[k]`` entry ``j`` after pass ``k`` of their
+in-place algorithm, ``h_j[1] = (j-1)!``, ``h_j[k] = (j-k) h_{j-1}[k] +
+(j-k+2) h_j[k-1]`` for ``2 <= k < j``, and ``T_j = h_j[j] = 2 h_j[j-1]``.
+Column ``j`` needs only column ``j-1``, so ``T_1..T_n`` cost ``O(n^2)``
+multiplications of a big integer by a small one and one column of memory.
 
 From ``T_n`` everything else is a single reduced fraction:
 
@@ -25,6 +26,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterator
 
 from .exact import padic_valuation
@@ -57,10 +59,10 @@ class BernoulliRecord:
 
 
 class SeidelEngine:
-    """Memoized boustrophedon triangle.
+    """Memoized Brent-Harvey tangent engine; the name is historical (Seidel's triangle).
 
-    The last computed triangle row is kept so that extending the range
-    reuses all previous work (each row is computed exactly once).  Cache
+    The newest column ``h_j[1..j]`` is kept so that extending the range
+    reuses all previous work (each column is computed exactly once).  Cache
     population happens under a single lock: concurrent first requests for
     the same index compute it once, while reads of already cached values
     are plain list lookups.
@@ -68,59 +70,53 @@ class SeidelEngine:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._row: list[int] = [1]
-        self._row_index = 0
-        self._tangent: list[int] = [0]  # 1-indexed; _tangent[n] = T_n
+        self._column: list[int] = [1]  # _column[k-1] = h_j[k] for the newest j
+        self._tangent: list[int] = [0, 1]  # 1-indexed; _tangent[n] = T_n
         self._records: dict[int, BernoulliRecord] = {}
 
     def _extend(self, n_target: int) -> None:
-        # caller holds the lock; rows 2n-1 carry T_n in their last entry
-        target_row = 2 * n_target - 1
-        row = self._row
-        r = self._row_index
+        # caller holds the lock
+        column = self._column
         tangent = self._tangent
-        while r < target_row:
-            acc = 0
-            nxt = [0]
-            push = nxt.append
-            for x in reversed(row):
-                acc += x
-                push(acc)
-            row = nxt
-            r += 1
-            if r & 1:
-                tangent.append(acc)
-        self._row = row
-        self._row_index = r
+        for j in range(len(tangent), n_target + 1):
+            # entry i is h[k] at k = i+1 with a = j-k; h_j[0] = 0 starts the column
+            a = j - 1
+            h = 0
+            for i, x in enumerate(column):
+                h = a * x + (a + 2) * h
+                column[i] = h
+                a -= 1
+            h <<= 1
+            column.append(h)
+            tangent.append(h)
 
     def tangent(self, n: int) -> int:
         if n < 1:
             raise ValueError("tangent numbers are indexed from 1")
         if n >= len(self._tangent):
             with self._lock:
-                if n >= len(self._tangent):
-                    self._extend(n)
+                self._extend(n)  # a no-op if another thread got here first
         return self._tangent[n]
 
     def tangent_range(self, limit: int) -> list[int]:
         if limit < 0:
             raise ValueError("limit must be >= 0")
-        if limit == 0:
-            return []
-        self.tangent(limit)
+        if limit > 0:
+            self.tangent(limit)
         return self._tangent[1 : limit + 1]
 
     def record(self, n: int) -> BernoulliRecord:
         rec = self._records.get(n)
         if rec is None:
+            # shift out the power of 2, so only the odd factor 2^{2n}-1 needs a gcd
             t = self.tangent(n)
-            ratio4 = Fraction(t, (1 << (2 * n + 1)) * ((1 << (2 * n)) - 1))
-            rec = BernoulliRecord(
-                n=n,
-                abs_value=ratio4 * (4 * n),
-                num4=ratio4.numerator,
-                j=ratio4.denominator,
-            )
+            v = (t & -t).bit_length() - 1
+            t >>= v
+            odd = (1 << (2 * n)) - 1
+            g = gcd(t, odd)
+            num4 = t // g
+            j = (odd // g) << (2 * n + 1 - v)
+            rec = BernoulliRecord(n=n, abs_value=Fraction(4 * n * num4, j), num4=num4, j=j)
             rec = self._records.setdefault(n, rec)
         return rec
 
@@ -155,7 +151,7 @@ def bernoulli_record(n: int) -> BernoulliRecord:
 
 
 def record_range(limit: int) -> Iterator[BernoulliRecord]:
-    """Yield records ``n = 1 .. limit`` in order, streaming the triangle rows."""
+    """Yield records ``n = 1 .. limit`` in order, extending the engine on demand."""
     return _ENGINE.record_range(limit)
 
 
@@ -175,7 +171,7 @@ def vsc_denominator(n: int) -> int:
 
     Equals ``prod(p^(1 + v_p(n)))`` over primes ``p`` with ``p - 1`` dividing
     ``2n``.  Computed purely from the prime product, with no Bernoulli number
-    involved, so it serves as an independent cross-check of the triangle route.
+    involved, so it serves as an independent cross-check of the tangent-number route.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -21,6 +21,7 @@ only the check work already done.
 from __future__ import annotations
 
 import json
+import os
 import random
 import sys
 import time
@@ -159,6 +160,10 @@ def _run_scan(
     ``stop_after`` ends the scan early after that many newly processed
     indices, leaving a resumable checkpoint and a "partial" report.
     """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    # a process pool starts every worker it is asked for at once
+    workers = min(workers, os.cpu_count() or 1)
     t0 = time.monotonic()
     header = {"claim": claim, "m_min": m_min, "m_max": m_max, "params": _stringify(params)}
     ckpt = _Checkpoint(checkpoint_path, header) if checkpoint_path else None
@@ -242,11 +247,10 @@ def _check_gcd_power_of_two(payload: tuple[int, int, int]) -> tuple[int, list[di
 
 def _check_numerator_coprimality(payload: tuple[int, int, int]) -> tuple[int, list[dict]]:
     m, num4_m, num4_half = payload
-    g = gcd(num4_m, num4_half**2)
-    found = []
-    if g != 1:
-        found.append({"m": m, "kind": "common_factor", "gcd": g})
-    return m, found
+    # gcd(a, b^2) = 1 iff gcd(a, b) = 1; the square is formed only for a witness
+    if gcd(num4_m, num4_half) == 1:
+        return m, []
+    return m, [{"m": m, "kind": "common_factor", "gcd": gcd(num4_m, num4_half**2)}]
 
 
 def verify_gcd_power_of_two(

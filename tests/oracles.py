@@ -2,7 +2,8 @@
 
 Nothing here touches the package internals: Bernoulli numbers come from
 the defining binomial recurrence and tangent numbers from inverting their
-definition against those Bernoulli values.
+definition against those Bernoulli values, or from Seidel's boustrophedon
+triangle, the reference the tangent engine is compared against.
 """
 
 from fractions import Fraction
@@ -29,3 +30,21 @@ def tangent_oracle(n: int) -> int:
     value = (1 << (2 * n)) * ((1 << (2 * n)) - 1) * bernoulli_abs_oracle(n) / (2 * n)
     assert value.denominator == 1
     return value.numerator
+
+
+def seidel_tangents(limit: int) -> list[int]:
+    """T_1..T_limit from Seidel's boustrophedon triangle.
+
+    Each row holds the alternating partial sums of the previous row read
+    backwards; the last entry of row 2n-1 is T_n.
+    """
+    row, out = [1], []
+    while len(out) < limit:
+        acc, nxt = 0, [0]
+        for x in reversed(row):
+            acc += x
+            nxt.append(acc)
+        row = nxt
+        if len(row) % 2 == 0:
+            out.append(acc)
+    return out

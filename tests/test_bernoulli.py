@@ -15,7 +15,7 @@ from hclat.bernoulli import (
 )
 from hclat.exact import nu2
 
-from oracles import bernoulli_abs_oracle, tangent_oracle
+from oracles import bernoulli_abs_oracle, seidel_tangents, tangent_oracle
 
 
 class TestTangentNumbers:
@@ -100,6 +100,29 @@ class TestRecords:
         js = {rec.n: rec.j for rec in record_range(500)}
         for n in range(1, 251):
             assert js[2 * n] % js[n] == 0
+
+
+class TestEngineAgainstSeidelTriangle:
+    def test_fresh_engine_matches_triangle_to_600(self):
+        assert SeidelEngine().tangent_range(600) == seidel_tangents(600)
+
+    def test_extending_in_steps_matches_one_call(self):
+        stepped = SeidelEngine()
+        for n in (1, 2, 17, 300, 301, 600):
+            stepped.tangent(n)
+        assert stepped.tangent_range(600) == SeidelEngine().tangent_range(600)
+
+    def test_records_match_full_fraction_reduction(self):
+        engine = SeidelEngine()
+        for n, t in enumerate(seidel_tangents(300), start=1):
+            ratio4 = Fraction(t, (1 << (2 * n + 1)) * ((1 << (2 * n)) - 1))
+            rec = engine.record(n)
+            assert (rec.num4, rec.j) == (ratio4.numerator, ratio4.denominator)
+            assert rec.abs_value == ratio4 * (4 * n)
+
+    @pytest.mark.long
+    def test_fresh_engine_matches_triangle_to_3000(self):
+        assert SeidelEngine().tangent_range(3000) == seidel_tangents(3000)
 
 
 def test_engine_is_consistent_under_threads():

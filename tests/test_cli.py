@@ -178,3 +178,6 @@ class TestErrorHandling:
 
     def test_missing_required_is_exit_1(self, capsys):
         assert main(["bernoulli"]) == 1
+
+    def test_workers_below_one_is_exit_1(self, capsys):
+        assert main(["verify", "gcd-power-of-two", "--max", "10", "--workers", "0"]) == 1

@@ -1,8 +1,10 @@
 import json
+import os
 from math import gcd
 
 import pytest
 
+from hclat import verify
 from hclat.bernoulli import bernoulli_abs
 from hclat.verify import (
     verify_gcd_power_of_two,
@@ -86,6 +88,35 @@ class TestReportMechanics:
         assert parallel.to_json(include_wall_time=False) == serial.to_json(
             include_wall_time=False
         )
+
+    def test_workers_capped_at_cpu_count(self, monkeypatch):
+        requested = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
+        report = verify_gcd_power_of_two(40, workers=os.cpu_count() + 1)
+        assert requested == [2]
+        assert report.to_json(include_wall_time=False) == verify_gcd_power_of_two(40).to_json(
+            include_wall_time=False
+        )
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError):
+            verify_gcd_power_of_two(40, workers=workers)
 
     def test_resumability(self, tmp_path):
         ckpt = tmp_path / "scan.json"
