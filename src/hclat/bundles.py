@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .bernoulli import bernoulli_record
 from .exact import BezoutPair
 from .lattices import (
     InvariantVector,
@@ -35,7 +34,7 @@ from .lattices import (
     minimal_ahat,
     minimal_signature,
 )
-from .plumbing import mu_k, profile
+from .plumbing import profile, require_bezout_for
 
 __all__ = [
     "KappaExpression",
@@ -78,9 +77,8 @@ def bundle_signature_divisor(m: int, ord: OrdParameter | int = 1) -> int:
     return value
 
 
-def bundle_ahat_divisor(m: int) -> int:
-    """Divisor of the (integral) A-hat genus of an admissible total space."""
-    return minimal_ahat(m)
+# the divisor of the (integral) A-hat genus of an admissible total space
+bundle_ahat_divisor = minimal_ahat
 
 
 def signature_4_realizable(m: int) -> bool:
@@ -112,34 +110,25 @@ def kappa_basis(
     ord = _as_ord(ord, m)
     if m == 1:
         return [KappaExpression(Fraction(1, 12), Fraction(0))]
-    rec = bernoulli_record(m)
+    prof = profile(m)
     if m % 2:
-        return [
-            KappaExpression(
-                Fraction(1, 2 * factorial(2 * m - 1) * rec.j), Fraction(0)
-            )
-        ]
+        return [KappaExpression(Fraction(1, 2 * factorial(2 * m - 1) * prof.j), Fraction(0))]
     k = m // 2
     if bezout is None:
-        bezout = profile(m).bezout
-    elif bezout.for_numerator != rec.num4 or bezout.for_denominator != rec.j:
-        raise ValueError(
-            f"Bezout pair is for ({bezout.for_numerator}, {bezout.for_denominator}), "
-            f"expected ({rec.num4}, {rec.j})"
-        )
+        bezout = prof.bezout
+    require_bezout_for(m, bezout)
     f2k = factorial(2 * k - 1)
     f4k = factorial(4 * k - 1)
-    reck = bernoulli_record(k)
-    b4k = Fraction(reck.num4, reck.j)
-    a_k = 2 if k % 2 else 1
+    pk = profile(k)
+    b4k = Fraction(pk.num4, pk.j)
     mixed = KappaExpression(
-        Fraction(1, f4k * rec.j),
-        -Fraction(1, 2 * f4k * rec.j)
+        Fraction(1, f4k * prof.j),
+        -Fraction(1, 2 * f4k * prof.j)
         - b4k * (bezout.c * b4k + 2 * bezout.d * (-1) ** k) / (2 * f2k**2),
     )
     pure = KappaExpression(
         Fraction(0),
-        Fraction(1, 2 * mu_k(k) * a_k**2 * ord.value * f2k**2),
+        Fraction(1, 2 * prof.mu * pk.a**2 * ord.value * f2k**2),
     )
     return [mixed, pure]
 

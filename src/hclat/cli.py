@@ -12,10 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
+from dataclasses import asdict
 
 from . import bernoulli, bundles, genera, lattices, plumbing, verify
-from .exact import BezoutPair
+from .verify import to_jsonable
 
 USAGE_ERROR = 1
 
@@ -25,21 +25,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # noqa: D102
         self.print_usage(sys.stderr)
         raise SystemExit(USAGE_ERROR)
-
-
-def _frac(q: Fraction) -> dict:
-    return {"num": str(q.numerator), "den": str(q.denominator)}
-
-
-def _bezout_json(b: BezoutPair | None) -> dict | None:
-    if b is None:
-        return None
-    return {
-        "c": str(b.c),
-        "d": str(b.d),
-        "for_numerator": str(b.for_numerator),
-        "for_denominator": str(b.for_denominator),
-    }
 
 
 def _record_fields(rec: bernoulli.BernoulliRecord) -> dict:
@@ -53,7 +38,7 @@ def _record_fields(rec: bernoulli.BernoulliRecord) -> dict:
 
 
 def _emit(data) -> None:
-    print(json.dumps(data, indent=2))
+    print(json.dumps(to_jsonable(data), indent=2))
 
 
 def _cmd_bernoulli(args) -> int:
@@ -84,9 +69,9 @@ def _cmd_coeffs(args) -> int:
         g = genera.genus_coeffs(args.genus, args.m)
     data = {
         "genus": args.genus,
-        "m": str(args.m),
-        "coeff_p_top": _frac(g.coeff_p_top),
-        "coeff_p_half_sq": _frac(g.coeff_p_half_sq),
+        "m": args.m,
+        "coeff_p_top": g.coeff_p_top,
+        "coeff_p_half_sq": g.coeff_p_half_sq,
     }
     if args.format == "json":
         _emit(data)
@@ -102,14 +87,16 @@ def _cmd_plumbing(args) -> int:
     lattices.OrdParameter(args.ord, args.m)  # validate even though unused below
     prof = plumbing.profile(args.m)
     even = args.m % 2 == 0
-    data = {
-        "m": str(args.m),
-        "sigma_m": str(prof.sigma),
-        "bp_order": str(plumbing.bp_order(args.m)),
-        "pk2_Q": str(plumbing.pk2_of_Q(args.m // 2)) if even else None,
-        "s_Q": str(plumbing.s_of_Q(args.m)) if args.m >= 2 else None,
-        "bezout": _bezout_json(prof.bezout),
-    }
+    data = to_jsonable(
+        {
+            "m": args.m,
+            "sigma_m": prof.sigma,
+            "bp_order": plumbing.bp_order(args.m),
+            "pk2_Q": plumbing.pk2_of_Q(args.m // 2) if even else None,
+            "s_Q": plumbing.s_of_Q(args.m) if args.m >= 2 else None,
+            "bezout": asdict(prof.bezout) if prof.bezout else None,
+        }
+    )
     if args.format == "json":
         _emit(data)
     else:
@@ -125,16 +112,7 @@ def _variant(name: str) -> str:
 def _cmd_lattice(args) -> int:
     basis = lattices.generator_invariants(args.m, args.ord, _variant(args.variant))
     structure = lattices.kernel_structure(args.m, args.ord)
-    rows = [
-        {
-            "label": label,
-            "sigma": str(v.sigma),
-            "ahat": str(v.ahat),
-            "p_top": str(v.p_top),
-            "p_half_sq": str(v.p_half_sq),
-        }
-        for label, v in basis.generators
-    ]
+    rows = [to_jsonable({"label": label, **asdict(v)}) for label, v in basis.generators]
     if args.format == "csv":
         print("label,sigma,ahat,p_top,p_half_sq")
         for row in rows:
@@ -142,8 +120,8 @@ def _cmd_lattice(args) -> int:
     else:
         _emit(
             {
-                "m": str(args.m),
-                "ord": str(args.ord),
+                "m": args.m,
+                "ord": args.ord,
                 "variant": basis.variant,
                 "structure": str(structure),
                 "generators": rows,
@@ -154,14 +132,15 @@ def _cmd_lattice(args) -> int:
 
 def _cmd_minimal(args) -> int:
     value, exponent = lattices.minimal_signature(args.m, args.ord)
-    data = {
-        "m": str(args.m),
-        "ord": str(args.ord),
-        "minimal_signature": str(value),
-        "exponent_i": str(exponent) if exponent is not None else None,
-        "minimal_ahat": str(lattices.minimal_ahat(args.m)) if args.m >= 2 else None,
-    }
-    _emit(data)
+    _emit(
+        {
+            "m": args.m,
+            "ord": args.ord,
+            "minimal_signature": value,
+            "exponent_i": exponent,
+            "minimal_ahat": lattices.minimal_ahat(args.m) if args.m >= 2 else None,
+        }
+    )
     return 0
 
 
@@ -169,24 +148,14 @@ def _cmd_bundle(args) -> int:
     report = bundles.divisibility_report(args.m, args.ord)
     _emit(
         {
-            "m": str(report.m),
-            "ord": str(report.ord.value),
-            "signature_divisor": str(report.signature_divisor),
-            "ahat_divisor": (
-                str(report.ahat_divisor) if report.ahat_divisor is not None else None
-            ),
+            "m": report.m,
+            "ord": report.ord.value,
+            "signature_divisor": report.signature_divisor,
+            "ahat_divisor": report.ahat_divisor,
             "signature_4_realizable": bundles.signature_4_realizable(args.m),
             "realizable_at_genus": report.realizable_at_genus,
-            "non_admissible_signature_divisor": (
-                str(report.non_admissible_signature_divisor)
-                if report.non_admissible_signature_divisor is not None
-                else None
-            ),
-            "non_admissible_ahat_divisor": (
-                str(report.non_admissible_ahat_divisor)
-                if report.non_admissible_ahat_divisor is not None
-                else None
-            ),
+            "non_admissible_signature_divisor": report.non_admissible_signature_divisor,
+            "non_admissible_ahat_divisor": report.non_admissible_ahat_divisor,
         }
     )
     return 0
@@ -194,19 +163,7 @@ def _cmd_bundle(args) -> int:
 
 def _cmd_kappa_basis(args) -> int:
     exprs = bundles.kappa_basis(args.m, args.ord)
-    _emit(
-        {
-            "m": str(args.m),
-            "ord": str(args.ord),
-            "basis": [
-                {
-                    "coeff_p_top": _frac(e.coeff_p_top),
-                    "coeff_p_half_sq": _frac(e.coeff_p_half_sq),
-                }
-                for e in exprs
-            ],
-        }
-    )
+    _emit({"m": args.m, "ord": args.ord, "basis": [asdict(e) for e in exprs]})
     return 0
 
 
@@ -302,15 +259,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if sys.get_int_max_str_digits() < 2_000_000:
-        sys.set_int_max_str_digits(2_000_000)
+    verify.allow_big_str()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

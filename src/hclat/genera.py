@@ -41,6 +41,7 @@ from math import factorial
 
 from .bernoulli import bernoulli_record, tangent_number
 from .exact import BezoutPair
+from .plumbing import profile, require_bezout_for, sigma_over_a
 
 __all__ = [
     "GENERA",
@@ -72,10 +73,6 @@ class GenusCoefficients:
         return self.coeff_p_top * p_top + self.coeff_p_half_sq * p_half_sq
 
 
-def _a(n: int) -> int:
-    return 2 if n % 2 else 1
-
-
 def shat(n: int) -> Fraction:
     """``shat_n = -(1/(2n-1)!) |B_{2n}|/4n``; e.g. ``shat(1) == -1/24``."""
     if n < 1:
@@ -92,10 +89,9 @@ def s(n: int) -> Fraction:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rec = bernoulli_record(n)
-    via_shat = -(1 << (2 * n + 1)) * ((1 << (2 * n - 1)) - 1) * shat(n)
-    sigma_over_a = (1 << (2 * n + 1)) * ((1 << (2 * n - 1)) - 1) * rec.num4
-    via_sigma = Fraction(sigma_over_a, factorial(2 * n - 1) * rec.j)
+    prof = profile(n)
+    via_shat = -sigma_over_a(n) * shat(n)
+    via_sigma = Fraction(prof.sigma, prof.a * factorial(2 * n - 1) * prof.j)
     if via_shat != via_sigma:
         raise RuntimeError(f"the two closed forms of s_{n} disagree")
     return via_shat
@@ -131,15 +127,6 @@ def genus_coeffs(genus: str, m: int) -> GenusCoefficients:
     return GenusCoefficients(m, -Fraction(1, f4k), half)
 
 
-def _check_bezout(bezout: BezoutPair, m: int) -> None:
-    rec = bernoulli_record(m)
-    if bezout.for_numerator != rec.num4 or bezout.for_denominator != rec.j:
-        raise ValueError(
-            f"Bezout pair is for ({bezout.for_numerator}, {bezout.for_denominator}), "
-            f"expected the numerator/denominator ({rec.num4}, {rec.j}) of |B_{2 * m}|/{4 * m}"
-        )
-
-
 def stolz_class_coeffs(m: int, bezout: BezoutPair) -> GenusCoefficients:
     """Coefficients of the signature-defect combination ``S_m``.
 
@@ -151,17 +138,16 @@ def stolz_class_coeffs(m: int, bezout: BezoutPair) -> GenusCoefficients:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    _check_bezout(bezout, m)
-    rec = bernoulli_record(m)
+    require_bezout_for(m, bezout)
     gl = genus_coeffs("L", m)
     ga = genus_coeffs("Ahat", m)
     gap = genus_coeffs("AhatPh", m)
-    sigma_over_a = (1 << (2 * m + 1)) * ((1 << (2 * m - 1)) - 1) * rec.num4
+    factor = sigma_over_a(m, profile(m).num4)
     sign = (-1) ** m
-    top = gl.coeff_p_top + sigma_over_a * (
+    top = gl.coeff_p_top + factor * (
         bezout.c * ga.coeff_p_top + sign * bezout.d * gap.coeff_p_top
     )
-    half = gl.coeff_p_half_sq + sigma_over_a * (
+    half = gl.coeff_p_half_sq + factor * (
         bezout.c * ga.coeff_p_half_sq + sign * bezout.d * gap.coeff_p_half_sq
     )
     if top != 0:

@@ -22,7 +22,7 @@ from math import factorial, gcd
 
 from .bernoulli import bernoulli_abs, bernoulli_record, tangent_number
 from .exact import BezoutPair, nu2
-from .plumbing import lambda_k, mu_k, profile
+from .plumbing import profile, require_bezout_for
 
 __all__ = [
     "VARIANTS",
@@ -196,22 +196,16 @@ def generator_invariants(
     pk = profile(k)
     if bezout is None:
         bezout = prof.bezout
-    else:
-        if bezout.for_numerator != prof.num4 or bezout.for_denominator != prof.j:
-            raise ValueError(
-                f"Bezout pair is for ({bezout.for_numerator}, {bezout.for_denominator}), "
-                f"expected ({prof.num4}, {prof.j})"
-            )
+    require_bezout_for(m, bezout)
     c, d = bezout.c, bezout.d
     f2k = factorial(2 * k - 1)
     f4k = factorial(4 * k - 1)
     g1 = InvariantVector(prof.sigma, -prof.num4, f4k * prof.j, 0)
 
-    mu = mu_k(k)
     weight = (
-        Fraction(ord.value * pk.a**2, mu)
+        Fraction(ord.value * pk.a**2, prof.mu)
         if variant == "full_kernel"
-        else Fraction(ord.value * pk.a**2 * mu)
+        else Fraction(ord.value * pk.a**2 * prof.mu)
     )
     b4k = Fraction(pk.num4, pk.j)  # |B_{2k}| / 4k
     x = b4k * (bernoulli_abs(k) / bernoulli_abs(2 * k) + (-1) ** (k + 1))
@@ -250,9 +244,9 @@ def minimal_signature(m: int, ord: OrdParameter | int = 1) -> tuple[int, int | N
         return 1, None
     if m % 2:
         return profile(m).sigma, None
-    a_half = 2 if (m // 2) % 2 else 1
-    i_m = min(0, nu2(ord.value) - 2 * nu2(m) - 4 + 2 * nu2(a_half))
-    g = gcd(profile(m).sigma, profile(m // 2).sigma ** 2)
+    half = profile(m // 2)
+    i_m = min(0, nu2(ord.value) - 2 * nu2(m) - 4 + 2 * nu2(half.a))
+    g = gcd(profile(m).sigma, half.sigma ** 2)
     value = g >> (-i_m)
     if value << (-i_m) != g:
         raise RuntimeError(f"2^{i_m} gcd(...) is not an integer at m={m}")

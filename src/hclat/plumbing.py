@@ -16,7 +16,7 @@ evaluated exactly and must agree before the value is returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial
 
@@ -33,18 +33,23 @@ __all__ = [
     "s_of_Q_formulas",
     "stolz_s",
     "lambda_k",
-    "mu_k",
+    "sigma_over_a",
+    "require_bezout_for",
 ]
 
 
 def lambda_k(k: int) -> int:
-    """2 for k in {1, 2}, else 1 (normalization of the middle class of Q)."""
+    """2 for k in {1, 2}, else 1: the normalization of the middle class of Q,
+    which is also the index of the second lattice generator."""
     return 2 if k in (1, 2) else 1
 
 
-def mu_k(k: int) -> int:
-    """2 for k in {1, 2}, else 1 (index of the second lattice generator)."""
-    return 2 if k in (1, 2) else 1
+def sigma_over_a(m: int, num4: int = 1) -> int:
+    """``sigma_m / a_m = 2^{2m+1}(2^{2m-1}-1) num4``, with ``num4 = num(|B_{2m}|/4m)``.
+
+    With the default ``num4 = 1`` this is the bare power-of-two factor.
+    """
+    return (1 << (2 * m + 1)) * ((1 << (2 * m - 1)) - 1) * num4
 
 
 @dataclass(frozen=True)
@@ -54,8 +59,9 @@ class DimensionProfile:
     ``sigma`` is the minimal positive signature of an almost parallelizable
     ``4m``-manifold, ``a = 2`` iff ``m`` is odd, and ``num4 / j`` is the
     reduced ``|B_{2m}|/4m``.  For even ``m = 2k`` the profile also carries
-    ``k``, ``lam = lambda_k``, ``mu = mu_k``, and the canonical (normalized)
-    Bezout pair for ``(num4, j)``.
+    ``k``, ``lam = lambda_k``, ``mu`` (the index of the second lattice
+    generator, equal to ``lambda_k``), and the canonical (normalized) Bezout
+    pair for ``(num4, j)``.
     """
 
     m: int
@@ -73,33 +79,42 @@ class DimensionProfile:
         return "odd" if self.m % 2 else "even"
 
 
+_profiles: dict[int, DimensionProfile] = {}
+
+
 def profile(m: int) -> DimensionProfile:
-    """Populate the :class:`DimensionProfile` for dimension ``4m``."""
+    """The :class:`DimensionProfile` for dimension ``4m``, built once per m."""
+    prof = _profiles.get(m)
+    if prof is not None:
+        return prof
     if m < 1:
         raise ValueError("m must be >= 1")
     rec = bernoulli_record(m)
     a = 2 if m % 2 else 1
-    sigma = a * (1 << (2 * m + 1)) * ((1 << (2 * m - 1)) - 1) * rec.num4
-    if m % 2:
-        return DimensionProfile(m=m, a=a, sigma=sigma, num4=rec.num4, j=rec.j)
-    k = m // 2
-    return DimensionProfile(
-        m=m,
-        a=a,
-        sigma=sigma,
-        num4=rec.num4,
-        j=rec.j,
-        k=k,
-        lam=lambda_k(k),
-        mu=mu_k(k),
-        bezout=normalize_bezout(rec.num4, rec.j),
-    )
+    sigma = a * sigma_over_a(m, rec.num4)
+    prof = DimensionProfile(m=m, a=a, sigma=sigma, num4=rec.num4, j=rec.j)
+    if m % 2 == 0:
+        lam = lambda_k(m // 2)
+        bezout = normalize_bezout(rec.num4, rec.j)
+        prof = replace(prof, k=m // 2, lam=lam, mu=lam, bezout=bezout)
+    return _profiles.setdefault(m, prof)
 
 
 def canonical_bezout(m: int) -> BezoutPair:
     """The normalized Bezout pair for the reduced ``|B_{2m}|/4m`` (any m >= 1)."""
-    rec = bernoulli_record(m)
-    return normalize_bezout(rec.num4, rec.j)
+    prof = profile(m)
+    return prof.bezout or normalize_bezout(prof.num4, prof.j)
+
+
+def require_bezout_for(m: int, bezout: BezoutPair) -> None:
+    """Raise ValueError unless ``bezout`` is a pair for the reduced ``|B_{2m}|/4m``."""
+    prof = profile(m)
+    if bezout.for_numerator != prof.num4 or bezout.for_denominator != prof.j:
+        raise ValueError(
+            f"Bezout pair is for ({bezout.for_numerator}, {bezout.for_denominator}), "
+            f"expected the numerator/denominator ({prof.num4}, {prof.j}) "
+            f"of |B_{2 * m}|/{4 * m}"
+        )
 
 
 def bp_order(m: int) -> int:
@@ -123,15 +138,6 @@ def pk2_of_Q(k: int) -> int:
     return 2 * lambda_k(k) ** 2 * a**2 * factorial(2 * k - 1) ** 2
 
 
-def _check_bezout_for(bezout: BezoutPair, m: int) -> None:
-    rec = bernoulli_record(m)
-    if bezout.for_numerator != rec.num4 or bezout.for_denominator != rec.j:
-        raise ValueError(
-            f"Bezout pair is for ({bezout.for_numerator}, {bezout.for_denominator}); "
-            f"dimension parameter m={m} needs a pair for ({rec.num4}, {rec.j})"
-        )
-
-
 def s_of_Q_formulas(k: int, bezout: BezoutPair) -> tuple[Fraction, Fraction]:
     """Both closed formulas for the splitting invariant of Q in dimension 8k.
 
@@ -142,7 +148,7 @@ def s_of_Q_formulas(k: int, bezout: BezoutPair) -> tuple[Fraction, Fraction]:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    _check_bezout_for(bezout, 2 * k)
+    require_bezout_for(2 * k, bezout)
     pk = profile(k)
     p2k = profile(2 * k)
     lam = lambda_k(k)

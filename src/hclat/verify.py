@@ -51,13 +51,15 @@ DESK_RANGES = {"gcd-power-of-two": 300, "numerator-coprimality": 300, "identity-
 FULL_RANGES = {"gcd-power-of-two": 2678, "numerator-coprimality": 42000, "identity-suite": 200}
 
 
-def _allow_big_str() -> None:
-    # decimal-string output of large scans exceeds the default int-to-str limit
+def allow_big_str() -> None:
+    """Raise the int-to-str digit limit, which large scans and queries exceed."""
     if sys.get_int_max_str_digits() < 2_000_000:
         sys.set_int_max_str_digits(2_000_000)
 
 
-def _stringify(obj):
+def to_jsonable(obj):
+    """Integers become decimal strings and rationals ``{"num": ..., "den": ...}``
+    objects, inside dicts, lists and tuples too; anything else passes unchanged."""
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, int):
@@ -65,9 +67,9 @@ def _stringify(obj):
     if isinstance(obj, Fraction):
         return {"num": str(obj.numerator), "den": str(obj.denominator)}
     if isinstance(obj, dict):
-        return {k: _stringify(v) for k, v in obj.items()}
+        return {k: to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_stringify(v) for v in obj]
+        return [to_jsonable(v) for v in obj]
     return obj
 
 
@@ -87,21 +89,24 @@ class VerificationReport:
             "claim": self.claim,
             "range": {"m_min": str(self.m_min), "m_max": str(self.m_max)},
             "status": self.status,
-            "counterexamples": _stringify(self.counterexamples),
+            "counterexamples": to_jsonable(self.counterexamples),
             "cursor": str(self.cursor),
-            "params": _stringify(self.params),
+            "params": to_jsonable(self.params),
         }
         if include_wall_time:
             out["wall_time_seconds"] = round(self.wall_time_seconds, 3)
         return out
 
     def to_json(self, include_wall_time: bool = True) -> str:
-        _allow_big_str()
+        allow_big_str()
         return json.dumps(self.to_dict(include_wall_time), indent=2)
 
     @property
     def exit_code(self) -> int:
-        return 0 if self.status == "verified" else 2
+        """2 when counterexamples were found, 0 when verified, 1 otherwise."""
+        if self.counterexamples:
+            return 2
+        return 0 if self.status == "verified" else 1
 
 
 class _Checkpoint:
@@ -116,8 +121,10 @@ class _Checkpoint:
     def load(self) -> None:
         if not self.path.exists():
             return
-        _allow_big_str()
+        allow_big_str()
         data = json.loads(self.path.read_text())
+        if not isinstance(data, dict):
+            raise ValueError(f"checkpoint {self.path} does not hold a JSON object")
         if data.get("header") != self.header:
             raise ValueError(
                 f"checkpoint {self.path} was written for different parameters; "
@@ -127,7 +134,7 @@ class _Checkpoint:
         self.counterexamples = data["counterexamples"]
 
     def save(self, cursor: int, counterexamples: list[dict]) -> None:
-        _allow_big_str()
+        allow_big_str()
         self.cursor = cursor
         self.counterexamples = counterexamples
         payload = {
@@ -165,10 +172,12 @@ def _run_scan(
     # a process pool starts every worker it is asked for at once
     workers = min(workers, os.cpu_count() or 1)
     t0 = time.monotonic()
-    header = {"claim": claim, "m_min": m_min, "m_max": m_max, "params": _stringify(params)}
+    header = {"claim": claim, "m_min": m_min, "m_max": m_max, "params": to_jsonable(params)}
     ckpt = _Checkpoint(checkpoint_path, header) if checkpoint_path else None
     if ckpt:
         ckpt.load()
+        # fail on an unwritable path now, not after the whole scan
+        ckpt.save(ckpt.cursor, ckpt.counterexamples)
     cursor = ckpt.cursor if ckpt else 0
     witnesses = list(ckpt.counterexamples) if ckpt else []
 
@@ -185,19 +194,21 @@ def _run_scan(
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 yield from pool.map(check, todo, chunksize=8)
 
-    for m, found in results():
-        saw_item = True
-        witnesses.extend(found)
-        cursor = m
-        processed += 1
-        if ckpt and processed % checkpoint_every == 0:
+    try:
+        for m, found in results():
+            saw_item = True
+            # one statement, so an interrupt cannot split a cursor from its witnesses
+            cursor, witnesses = m, witnesses + found
+            processed += 1
+            if ckpt and processed % checkpoint_every == 0:
+                ckpt.save(cursor, witnesses)
+            if stop_after is not None and processed >= stop_after:
+                stopped = True
+                break
+    finally:
+        # also on KeyboardInterrupt, so a resumed scan skips the work already done
+        if ckpt:
             ckpt.save(cursor, witnesses)
-        if stop_after is not None and processed >= stop_after:
-            stopped = True
-            break
-
-    if ckpt:
-        ckpt.save(cursor, witnesses)
 
     witnesses.sort(key=lambda w: (int(w.get("m", 0)), str(w.get("kind", ""))))
     if stopped or not saw_item:
@@ -217,8 +228,8 @@ def _run_scan(
 
 
 def _sigma_from_num4(m: int, num4: int) -> int:
-    a = 2 if m % 2 else 1
-    return a * (1 << (2 * m + 1)) * ((1 << (2 * m - 1)) - 1) * num4
+    # from the payload alone: pool workers hold no Bernoulli records or profiles
+    return (2 if m % 2 else 1) * plumbing.sigma_over_a(m, num4)
 
 
 def _even_m_payloads(m_max: int) -> Iterator[tuple[int, int, int]]:
@@ -416,10 +427,9 @@ def _check_identities(payload: tuple[int]) -> tuple[int, list[dict]]:
         if s_q is not None:
             # j_k^2 s(Q) + lambda_k^2 sigma_k^2/8 is the representative term,
             # an exact integer multiple of sigma_{2k}/8
-            lam = plumbing.lambda_k(k)
             run(
                 "j2_s_congruence",
-                lambda: (prof_k.j**2 * s_q + lam**2 * prof_k.sigma**2 // 8)
+                lambda: (prof_k.j**2 * s_q + prof.lam**2 * prof_k.sigma**2 // 8)
                 % (prof.sigma // 8)
                 == 0,
             )
@@ -456,9 +466,7 @@ def _check_identities(payload: tuple[int]) -> tuple[int, list[dict]]:
 
         def proof_identity_second() -> bool:
             c, d = canonical.c, canonical.d
-            return prof.sigma * c == (1 << (2 * m + 1)) * ((1 << (2 * m - 1)) - 1) * (
-                1 - prof.j * d
-            )
+            return prof.sigma * c == plumbing.sigma_over_a(m) * (1 - prof.j * d)
 
         run("sigma_c_identity", proof_identity_second)
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hclat import verify
 from hclat.cli import main
 
 
@@ -181,3 +182,149 @@ class TestErrorHandling:
 
     def test_workers_below_one_is_exit_1(self, capsys):
         assert main(["verify", "gcd-power-of-two", "--max", "10", "--workers", "0"]) == 1
+
+
+# exact stdout bytes: key order, indentation and number formatting are all part
+# of the output contract, which parsing the JSON back would not notice
+GOLDEN = {
+    'plumbing --m 2': (
+        '{\n'
+        '  "m": "2",\n'
+        '  "sigma_m": "224",\n'
+        '  "bp_order": "28",\n'
+        '  "pk2_Q": "32",\n'
+        '  "s_Q": "-1",\n'
+        '  "bezout": {\n'
+        '    "c": "1",\n'
+        '    "d": "0",\n'
+        '    "for_numerator": "1",\n'
+        '    "for_denominator": "240"\n'
+        '  }\n'
+        '}\n'
+    ),
+    'plumbing --m 3': (
+        '{\n'
+        '  "m": "3",\n'
+        '  "sigma_m": "7936",\n'
+        '  "bp_order": "992",\n'
+        '  "pk2_Q": null,\n'
+        '  "s_Q": "0",\n'
+        '  "bezout": null\n'
+        '}\n'
+    ),
+    'bundle --m 3': (
+        '{\n'
+        '  "m": "3",\n'
+        '  "ord": "1",\n'
+        '  "signature_divisor": "7936",\n'
+        '  "ahat_divisor": "2",\n'
+        '  "signature_4_realizable": false,\n'
+        '  "realizable_at_genus": "g >= 5",\n'
+        '  "non_admissible_signature_divisor": "3968",\n'
+        '  "non_admissible_ahat_divisor": "1"\n'
+        '}\n'
+    ),
+    'minimal --m 6': (
+        '{\n'
+        '  "m": "6",\n'
+        '  "ord": "1",\n'
+        '  "minimal_signature": "512",\n'
+        '  "exponent_i": "-4",\n'
+        '  "minimal_ahat": "1"\n'
+        '}\n'
+    ),
+    'kappa-basis --m 2': (
+        '{\n'
+        '  "m": "2",\n'
+        '  "ord": "1",\n'
+        '  "basis": [\n'
+        '    {\n'
+        '      "coeff_p_top": {\n'
+        '        "num": "1",\n'
+        '        "den": "1440"\n'
+        '      },\n'
+        '      "coeff_p_half_sq": {\n'
+        '        "num": "-7",\n'
+        '        "den": "5760"\n'
+        '      }\n'
+        '    },\n'
+        '    {\n'
+        '      "coeff_p_top": {\n'
+        '        "num": "0",\n'
+        '        "den": "1"\n'
+        '      },\n'
+        '      "coeff_p_half_sq": {\n'
+        '        "num": "1",\n'
+        '        "den": "16"\n'
+        '      }\n'
+        '    }\n'
+        '  ]\n'
+        '}\n'
+    ),
+    'coeffs --genus S --m 2': (
+        '{\n'
+        '  "genus": "S",\n'
+        '  "m": "2",\n'
+        '  "coeff_p_top": {\n'
+        '    "num": "0",\n'
+        '    "den": "1"\n'
+        '  },\n'
+        '  "coeff_p_half_sq": {\n'
+        '    "num": "1",\n'
+        '    "den": "4"\n'
+        '  }\n'
+        '}\n'
+    ),
+    'lattice --m 2 --format csv': (
+        'label,sigma,ahat,p_top,p_half_sq\n'
+        '(sigma/8)*P,224,-1,1440,0\n'
+        'HP2,1,0,7,4\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_golden_stdout(capsys, command):
+    code, out = run_cli(capsys, *command.split())
+    assert code == 0
+    assert out == GOLDEN[command]
+
+
+class TestExitCodes:
+    def test_partial_report_without_counterexample_is_exit_1(self, capsys):
+        code, out = run_cli(capsys, "verify", "identity-suite", "--max", "1")
+        assert code == 1
+        data = json.loads(out)
+        assert data["status"] == "partial"
+        assert data["counterexamples"] == []
+
+
+class TestBadCheckpoint:
+    def verify_with_checkpoint(self, capsys, path):
+        code = main(["verify", "gcd-power-of-two", "--max", "30", "--checkpoint", str(path)])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_directory_path(self, capsys, tmp_path):
+        code, out, err = self.verify_with_checkpoint(capsys, tmp_path)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_missing_directory_fails_before_the_scan(self, capsys, tmp_path, monkeypatch):
+        def no_scan(payload):
+            raise AssertionError("the scan ran before the checkpoint path was tested")
+
+        monkeypatch.setattr(verify, "_check_gcd_power_of_two", no_scan)
+        code, out, err = self.verify_with_checkpoint(capsys, tmp_path / "missing" / "c.json")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_file_holding_a_list(self, capsys, tmp_path):
+        ckpt = tmp_path / "c.json"
+        ckpt.write_text("[]")
+        code, out, err = self.verify_with_checkpoint(capsys, ckpt)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")

@@ -3,8 +3,10 @@ from math import gcd
 
 import pytest
 
+from hclat.bundles import kappa_basis
 from hclat.exact import nu2
 from hclat.genera import stolz_class_coeffs
+from hclat.lattices import generator_invariants
 from hclat.plumbing import (
     bp_order,
     canonical_bezout,
@@ -46,6 +48,24 @@ class TestProfile:
 
     def test_sigma_1_valuation(self):
         assert nu2(profile(1).sigma) == 4
+
+    def test_built_once_per_m(self):
+        assert profile(7) is profile(7)
+
+
+@pytest.mark.parametrize(
+    "consumer",
+    [
+        stolz_class_coeffs,
+        s_of_Q,
+        lambda m, b: generator_invariants(m, 1, "full_kernel", b),
+        lambda m, b: kappa_basis(m, 1, b),
+    ],
+    ids=["stolz_class_coeffs", "s_of_Q", "generator_invariants", "kappa_basis"],
+)
+def test_bezout_pair_for_another_m_rejected(consumer):
+    with pytest.raises(ValueError):
+        consumer(6, canonical_bezout(4))
 
 
 class TestBpOrder:

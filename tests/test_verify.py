@@ -62,6 +62,19 @@ class TestIdentitySuite:
 
 
 class TestReportMechanics:
+    @pytest.mark.parametrize(
+        "status, witnesses, code",
+        [
+            ("verified", [], 0),
+            ("counterexample", [{"m": 4}], 2),
+            ("partial", [{"m": 4}], 2),
+            ("partial", [], 1),
+        ],
+    )
+    def test_exit_code(self, status, witnesses, code):
+        report = verify.VerificationReport("gcd-power-of-two", 2, 8, status, witnesses, 4, {})
+        assert report.exit_code == code
+
     def test_determinism(self):
         a = verify_gcd_power_of_two(60)
         b = verify_gcd_power_of_two(60)
@@ -132,6 +145,25 @@ class TestReportMechanics:
         assert resumed.to_json(include_wall_time=False) == uninterrupted.to_json(
             include_wall_time=False
         )
+
+    def test_interrupt_leaves_last_cursor_on_disk(self, tmp_path, monkeypatch):
+        ckpt = tmp_path / "scan.json"
+        check = verify._check_gcd_power_of_two
+
+        def interrupted_at_40(payload):
+            if payload[0] == 40:
+                raise KeyboardInterrupt
+            return check(payload)
+
+        monkeypatch.setattr(verify, "_check_gcd_power_of_two", interrupted_at_40)
+        with pytest.raises(KeyboardInterrupt):
+            verify_gcd_power_of_two(100, workers=1, checkpoint_path=ckpt)
+        assert json.loads(ckpt.read_text())["cursor"] == 38
+        monkeypatch.undo()
+        resumed = verify_gcd_power_of_two(100, checkpoint_path=ckpt)
+        assert resumed.to_json(include_wall_time=False) == verify_gcd_power_of_two(
+            100
+        ).to_json(include_wall_time=False)
 
     def test_resuming_finished_scan_is_stable(self, tmp_path):
         ckpt = tmp_path / "scan.json"
