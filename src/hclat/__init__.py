@@ -45,7 +45,6 @@ from .lattices import (
     LatticeBasis,
     OrdParameter,
     generator_invariants,
-    hermite_normal_form,
     kernel_structure,
     lattice_span_equal,
     minimal_ahat,
@@ -97,7 +96,6 @@ __all__ = [
     "extended_gcd",
     "generator_invariants",
     "genus_coeffs",
-    "hermite_normal_form",
     "kappa_basis",
     "kernel_structure",
     "lattice_span_equal",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 from dataclasses import asdict
 
@@ -175,11 +176,12 @@ def _cmd_verify(args) -> int:
         m_max = verify.FULL_RANGES[args.claim]
     else:
         m_max = verify.DESK_RANGES[args.claim]
-    report = fn(
-        m_max,
-        workers=args.workers,
-        checkpoint_path=args.checkpoint,
-    )
+    # SIGTERM raises KeyboardInterrupt like Ctrl-C, so the scan saves its checkpoint
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
+    try:
+        report = fn(m_max, workers=args.workers, checkpoint_path=args.checkpoint)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     if args.format == "json":
         print(report.to_json())
     elif args.format == "csv":

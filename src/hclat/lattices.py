@@ -11,13 +11,14 @@ low dimensions known) value is 1, which is the default everywhere.
 
 All generator vectors are exact integers and satisfy the signature and
 A-hat consistency equations against the genus coefficients, which the
-tests enforce.  Lattices are compared via Hermite normal form.
+tests enforce.  Lattices are compared by exact membership in each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import factorial, gcd
 
 from .bernoulli import bernoulli_abs, bernoulli_record, tangent_number
@@ -35,7 +36,6 @@ __all__ = [
     "minimal_signature",
     "minimal_ahat",
     "signature_divisibility_bound",
-    "hermite_normal_form",
     "lattice_span_equal",
 ]
 
@@ -273,40 +273,30 @@ def signature_divisibility_bound(m: int) -> int:
     return 1 << (2 * m - 2 * nu2(m) - 3)
 
 
-def hermite_normal_form(vectors) -> tuple[tuple[int, ...], ...]:
-    """Row-style Hermite normal form of the span of integer vectors.
+def _minor(gens: list[tuple[int, ...]], idx: tuple[int, ...]) -> int:
+    if len(gens) == 1:
+        return gens[0][idx[0]]
+    (g, h), (i, j) = gens, idx
+    return g[i] * h[j] - g[j] * h[i]
 
-    Pivots are positive, entries above a pivot are reduced into
-    ``[0, pivot)``, zero rows are dropped.  Two generating sets span the
-    same subgroup of Z^n exactly when their normal forms coincide.
-    """
-    rows = [list(v) for v in vectors if any(v)]
-    if not rows:
-        return ()
-    ncols = len(rows[0])
-    if any(len(r) != ncols for r in rows):
-        raise ValueError("vectors must all have the same length")
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(r + 1, len(rows)):
-            while rows[i][c]:
-                q = rows[r][c] // rows[i][c]
-                rows[r] = [a - q * b for a, b in zip(rows[r], rows[i])]
-                rows[r], rows[i] = rows[i], rows[r]
-        if rows[r][c] < 0:
-            rows[r] = [-a for a in rows[r]]
-        for i in range(r):
-            q = rows[i][c] // rows[r][c]
-            if q:
-                rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return tuple(tuple(row) for row in rows[:r] if any(row))
+
+def _pivot(gens: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """The first coordinates on which one or two generators have a nonzero minor."""
+    if len(gens) not in (1, 2) or not all(map(any, gens)):
+        raise ValueError("a basis needs one or two nonzero generators")
+    for idx in combinations(range(len(gens[0])), len(gens)):
+        if _minor(gens, idx):
+            return idx
+    raise ValueError("the two basis generators are linearly dependent")
+
+
+def _in_span(v: tuple[int, ...], gens: list[tuple[int, ...]], idx: tuple[int, ...]) -> bool:
+    """Whether v is an integer combination of gens, by Cramer's rule on the minor at idx."""
+    det = _minor(gens, idx)
+    solved = [divmod(_minor(gens[:k] + [v] + gens[k + 1 :], idx), det) for k in range(len(gens))]
+    if any(r for _, r in solved):
+        return False
+    return all(a == sum(x * w[n] for (x, _), w in zip(solved, gens)) for n, a in enumerate(v))
 
 
 def lattice_span_equal(b1: LatticeBasis, b2: LatticeBasis) -> bool:
@@ -315,9 +305,12 @@ def lattice_span_equal(b1: LatticeBasis, b2: LatticeBasis) -> bool:
     The bases must belong to the same dimension parameter m.  Comparing the
     two variants is allowed and gives False whenever their lattices differ
     (at m = 2 or 4 the signature_in_4Z lattice has index 4 in the full one).
+    Each basis must hold one nonzero generator or two independent ones
+    (ValueError otherwise); equal means each lies in the other's span.
     """
     if b1.m != b2.m:
         raise ValueError("bases must share the same m")
     v1 = [vec.as_tuple() for _, vec in b1.generators]
     v2 = [vec.as_tuple() for _, vec in b2.generators]
-    return hermite_normal_form(v1) == hermite_normal_form(v2)
+    p1, p2 = _pivot(v1), _pivot(v2)
+    return all(_in_span(v, v2, p2) for v in v1) and all(_in_span(v, v1, p1) for v in v2)

@@ -28,6 +28,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import factorial, gcd
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -130,8 +131,13 @@ class _Checkpoint:
                 f"checkpoint {self.path} was written for different parameters; "
                 "delete it or use a different checkpoint path"
             )
-        self.cursor = data["cursor"]
-        self.counterexamples = data["counterexamples"]
+        cursor, found = data.get("cursor"), data.get("counterexamples")
+        # type(), not isinstance(): JSON true is a bool, and bool is an int
+        if type(cursor) is not int or not isinstance(found, list) or not all(
+            isinstance(w, dict) for w in found
+        ):
+            raise ValueError(f"checkpoint {self.path} needs an int cursor and a list of objects")
+        self.cursor, self.counterexamples = cursor, found
 
     def save(self, cursor: int, counterexamples: list[dict]) -> None:
         allow_big_str()
@@ -349,9 +355,14 @@ def _check_identities(payload: tuple[int]) -> tuple[int, list[dict]]:
             lambda: genera.stolz_class_coeffs(m, canonical).coeff_p_half_sq == 0,
         )
 
+    # one build per basis; a raise is not cached, so each identity still reports it
+    @cache
+    def basis_for(variant: str, bezout=None) -> lattices.LatticeBasis:
+        return lattices.generator_invariants(m, 1, variant, bezout)
+
     def generators_consistent() -> bool:
         for variant in lattices.VARIANTS:
-            basis = lattices.generator_invariants(m, 1, variant)
+            basis = basis_for(variant)
             gl = genera.genus_coeffs("L", m)
             ga = genera.genus_coeffs("Ahat", m)
             for _, vec in basis.generators:
@@ -363,20 +374,14 @@ def _check_identities(payload: tuple[int]) -> tuple[int, list[dict]]:
 
     run("generator_consistency", generators_consistent)
 
-    def minimal_matches_gcd() -> bool:
-        basis = lattices.generator_invariants(m, 1, "full_kernel")
-        sigmas = [vec.sigma for _, vec in basis.generators]
-        value, _ = lattices.minimal_signature(m, 1)
-        return value == gcd(*sigmas)
+    def full_kernel_gcd(field: str) -> int:
+        return gcd(*(getattr(vec, field) for _, vec in basis_for("full_kernel").generators))
 
-    run("minimal_signature_is_gcd", minimal_matches_gcd)
-
-    def minimal_ahat_matches_gcd() -> bool:
-        basis = lattices.generator_invariants(m, 1, "full_kernel")
-        ahats = [vec.ahat for _, vec in basis.generators]
-        return lattices.minimal_ahat(m) == gcd(*ahats)
-
-    run("minimal_ahat_is_gcd", minimal_ahat_matches_gcd)
+    run(
+        "minimal_signature_is_gcd",
+        lambda: full_kernel_gcd("sigma") == lattices.minimal_signature(m, 1)[0],
+    )
+    run("minimal_ahat_is_gcd", lambda: full_kernel_gcd("ahat") == lattices.minimal_ahat(m))
 
     def kappa_duality() -> bool:
         mat = bundles.pairing_matrix(m, 1)
@@ -386,7 +391,7 @@ def _check_identities(payload: tuple[int]) -> tuple[int, list[dict]]:
     run("kappa_duality_identity", kappa_duality)
 
     def kappa_integrality() -> bool:
-        basis = lattices.generator_invariants(m, 1, "signature_in_4Z")
+        basis = basis_for("signature_in_4Z")
         exprs = bundles.kappa_basis(m, 1)
         rng = random.Random(0xC0FFEE ^ m)
         vecs = [vec for _, vec in basis.generators]
@@ -446,8 +451,7 @@ def _check_identities(payload: tuple[int]) -> tuple[int, list[dict]]:
                         return False
                     for variant in lattices.VARIANTS:
                         if not lattices.lattice_span_equal(
-                            lattices.generator_invariants(m, 1, variant),
-                            lattices.generator_invariants(m, 1, variant, shifted),
+                            basis_for(variant), basis_for(variant, shifted)
                         ):
                             return False
                 return True

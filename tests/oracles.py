@@ -3,7 +3,9 @@
 Nothing here touches the package internals: Bernoulli numbers come from
 the defining binomial recurrence and tangent numbers from inverting their
 definition against those Bernoulli values, or from Seidel's boustrophedon
-triangle, the reference the tangent engine is compared against.
+triangle, the reference the tangent engine is compared against.  Lattice
+spans are compared through a general Hermite normal form, the reference
+for the rank-<=2 membership test in ``hclat.lattices``.
 """
 
 from fractions import Fraction
@@ -48,3 +50,39 @@ def seidel_tangents(limit: int) -> list[int]:
         if len(row) % 2 == 0:
             out.append(acc)
     return out
+
+
+def hermite_normal_form(vectors) -> tuple[tuple[int, ...], ...]:
+    """Row-style Hermite normal form of the span of integer vectors.
+
+    Pivots are positive, entries above a pivot are reduced into
+    ``[0, pivot)``, zero rows are dropped.  Two generating sets span the
+    same subgroup of Z^n exactly when their normal forms coincide.
+    """
+    rows = [list(v) for v in vectors if any(v)]
+    if not rows:
+        return ()
+    ncols = len(rows[0])
+    if any(len(r) != ncols for r in rows):
+        raise ValueError("vectors must all have the same length")
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(r + 1, len(rows)):
+            while rows[i][c]:
+                q = rows[r][c] // rows[i][c]
+                rows[r] = [a - q * b for a, b in zip(rows[r], rows[i])]
+                rows[r], rows[i] = rows[i], rows[r]
+        if rows[r][c] < 0:
+            rows[r] = [-a for a in rows[r]]
+        for i in range(r):
+            q = rows[i][c] // rows[r][c]
+            if q:
+                rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+        if r == len(rows):
+            break
+    return tuple(tuple(row) for row in rows[:r] if any(row))

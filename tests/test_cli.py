@@ -1,4 +1,6 @@
 import json
+import os
+import signal
 
 import pytest
 
@@ -328,3 +330,53 @@ class TestBadCheckpoint:
         assert code == 1
         assert out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("cursor", "7"),
+            ("cursor", None),
+            ("cursor", [1]),
+            ("cursor", True),
+            ("counterexamples", "x"),
+            ("counterexamples", [1]),
+        ],
+        ids=[
+            "cursor_str",
+            "cursor_null",
+            "cursor_list",
+            "cursor_bool",
+            "witnesses_str",
+            "witness_int",
+        ],
+    )
+    def test_malformed_field(self, capsys, tmp_path, field, value):
+        ckpt = tmp_path / "c.json"
+        assert self.verify_with_checkpoint(capsys, ckpt)[0] == 0
+        data = json.loads(ckpt.read_text())
+        data[field] = value
+        ckpt.write_text(json.dumps(data))
+        code, out, err = self.verify_with_checkpoint(capsys, ckpt)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+
+def test_sigterm_saves_the_checkpoint(tmp_path, monkeypatch):
+    ckpt = tmp_path / "scan.json"
+    before = signal.getsignal(signal.SIGTERM)
+    check = verify._check_gcd_power_of_two
+
+    def terminated_at_40(payload):
+        if payload[0] == 40:
+            # without the scan's handler the signal would end the test run
+            assert signal.getsignal(signal.SIGTERM) is signal.default_int_handler
+            os.kill(os.getpid(), signal.SIGTERM)
+        return check(payload)
+
+    monkeypatch.setattr(verify, "_check_gcd_power_of_two", terminated_at_40)
+    argv = ["verify", "gcd-power-of-two", "--max", "100", "--workers", "1"]
+    with pytest.raises(KeyboardInterrupt):
+        main(argv + ["--checkpoint", str(ckpt)])
+    assert json.loads(ckpt.read_text())["cursor"] == 38
+    assert signal.getsignal(signal.SIGTERM) is before

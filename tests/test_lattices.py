@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -10,7 +11,6 @@ from hclat.lattices import (
     LatticeBasis,
     OrdParameter,
     generator_invariants,
-    hermite_normal_form,
     kernel_structure,
     lattice_span_equal,
     minimal_ahat,
@@ -18,6 +18,7 @@ from hclat.lattices import (
     signature_divisibility_bound,
 )
 from hclat.plumbing import canonical_bezout, profile
+from oracles import hermite_normal_form
 
 
 class TestOrdParameter:
@@ -269,3 +270,100 @@ class TestLatticeSpanEqual:
                     m, 1, "full_kernel", canonical_bezout(m).shifted(t)
                 )
                 assert lattice_span_equal(base, shifted)
+
+
+def _basis(*vectors) -> LatticeBasis:
+    return LatticeBasis(
+        6,
+        OrdParameter.default(6),
+        "full_kernel",
+        tuple((f"v{i}", InvariantVector(*v)) for i, v in enumerate(vectors)),
+    )
+
+
+def _random_independent(rng, rank, bound):
+    while True:
+        vecs = [tuple(rng.randint(-bound, bound) for _ in range(4)) for _ in range(rank)]
+        if len(hermite_normal_form(vecs)) == rank:
+            return vecs
+
+
+def _random_change_of_basis(rng, vecs):
+    """The vectors under two random shears, a scaling and a shuffle.
+
+    The determinant is the scale factor, so it is +-1 half of the time.
+    """
+    scale = rng.choice((-2, -1, 1, 1, 2, 3))
+    if len(vecs) == 1:
+        return [tuple(scale * a for a in vecs[0])]
+    g, h = vecs
+    k1, k2 = rng.randint(-3, 3), rng.randint(-3, 3)
+    h = tuple(y + k1 * x for x, y in zip(g, h))
+    g = tuple(x + k2 * y for x, y in zip(g, h))
+    out = [g, tuple(scale * y for y in h)]
+    rng.shuffle(out)
+    return out
+
+
+class TestSpanEqualAgainstHermiteOracle:
+    def test_random_rank_one_and_two_bases(self):
+        rng = random.Random(1807_11539)
+        outcomes = Counter()
+        for _ in range(3000):
+            bound = rng.choice((3, 1000, 1 << 200))
+            v1 = _random_independent(rng, rng.randint(1, 2), bound)
+            if rng.random() < 0.5:
+                v2 = _random_change_of_basis(rng, v1)
+            else:
+                v2 = _random_independent(rng, rng.randint(1, 2), bound)
+            expected = hermite_normal_form(v1) == hermite_normal_form(v2)
+            assert lattice_span_equal(_basis(*v1), _basis(*v2)) == expected, (v1, v2)
+            outcomes[expected] += 1
+        assert min(outcomes.values()) > 300, outcomes
+
+    @pytest.mark.parametrize(
+        "v1, v2, equal",
+        [
+            ([(1, 5, 0, 0), (0, 3, 0, 0)], [(1, 2, 0, 0), (0, 3, 0, 0)], True),
+            ([(4, 6, 1, 0), (2, 3, 5, 0)], [(2, 3, 5, 0), (4, 6, 1, 0)], True),
+            ([(2, 3, 5, 7)], [(-2, -3, -5, -7)], True),
+            ([(2, 3, 5, 7), (0, 1, 0, 0)], [(2, 3, 5, 7), (0, -1, 0, 0)], True),
+            ([(1, 0, 0, 0), (0, 1, 0, 0)], [(2, 0, 0, 0), (0, 1, 0, 0)], False),
+            ([(1, 0, 0, 0), (0, 1, 0, 0)], [(1, 1, 0, 0), (1, -1, 0, 0)], False),
+            ([(3, 1, 4, 1)], [(6, 2, 8, 2)], False),
+            ([(1, 0, 0, 0)], [(1, 0, 0, 0), (0, 1, 0, 0)], False),
+        ],
+        ids=[
+            "reduction_above_pivot",
+            "order_invariance",
+            "sign_flip_rank_1",
+            "sign_flip_rank_2",
+            "index_2",
+            "index_2_skew",
+            "index_2_rank_1",
+            "rank_1_against_rank_2",
+        ],
+    )
+    def test_small_cases(self, v1, v2, equal):
+        assert (hermite_normal_form(v1) == hermite_normal_form(v2)) == equal
+        assert lattice_span_equal(_basis(*v1), _basis(*v2)) == equal
+        assert lattice_span_equal(_basis(*v2), _basis(*v1)) == equal
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [(0, 0, 0, 0)],
+            [(1, 2, 3, 4), (0, 0, 0, 0)],
+            [(1, 2, 3, 4), (-3, -6, -9, -12)],
+            [(0, 0, 5, 0), (0, 0, 7, 0)],
+            [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)],
+        ],
+        ids=["zero", "zero_second", "dependent", "dependent_on_one_axis", "three_generators"],
+    )
+    def test_degenerate_basis_rejected(self, bad):
+        # checked before comparing, whatever the other basis's length
+        for good in ([(1, 0, 0, 0)], [(1, 0, 0, 0), (0, 1, 0, 0)]):
+            with pytest.raises(ValueError):
+                lattice_span_equal(_basis(*bad), _basis(*good))
+            with pytest.raises(ValueError):
+                lattice_span_equal(_basis(*good), _basis(*bad))

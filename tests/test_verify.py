@@ -198,3 +198,10 @@ def test_full_gcd_scan_reproduces_published_counterexample():
 
     g = gcd(profile(2678).sigma, profile(1339).sigma ** 2)
     assert g == (1 << (2 * 2678 + 1)) * 34511
+
+
+@pytest.mark.long
+def test_identity_suite_to_1000():
+    report = verify_identity_suite(1000)
+    assert report.status == "verified"
+    assert report.counterexamples == []
