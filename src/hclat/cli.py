@@ -85,7 +85,6 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_plumbing(args) -> int:
-    lattices.OrdParameter(args.ord, args.m)  # validate even though unused below
     prof = plumbing.profile(args.m)
     even = args.m % 2 == 0
     data = to_jsonable(
@@ -218,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plumbing", help="plumbing invariants in dimension 4m")
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--ord", type=int, default=1)
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(fn=_cmd_plumbing)
 

@@ -74,10 +74,6 @@ class DimensionProfile:
     mu: int | None = None
     bezout: BezoutPair | None = None
 
-    @property
-    def parity(self) -> str:
-        return "odd" if self.m % 2 else "even"
-
 
 _profiles: dict[int, DimensionProfile] = {}
 

@@ -12,10 +12,13 @@ Three claims are scanned over ranges of the dimension parameter m:
 
 Failures are report entries, never exceptions.  The Bernoulli stream is
 produced once by the parent; per-index check work can be spread over a
-process pool without changing any report content.  Checkpoints persist
-the scan cursor and the counterexamples found so far, not Bernoulli data,
-so a resumed run recomputes the (cheap relative to disk) stream and skips
-only the check work already done.
+process pool without changing any report content.  The pool is fed in
+chunks of a few payloads with at most ``2 * workers + 1`` chunks in flight,
+so the stream, the results and the checkpoint saves advance together and
+memory stays bounded.  Checkpoints persist the scan cursor and the
+counterexamples found so far, not Bernoulli data, every 50 checked indices
+and on exit; a resumed run recomputes the (cheap relative to disk) stream
+and skips only the check work already done.
 """
 
 from __future__ import annotations
@@ -25,10 +28,12 @@ import os
 import random
 import sys
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import islice
 from math import factorial, gcd
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -110,18 +115,21 @@ class VerificationReport:
         return 0 if self.status == "verified" else 1
 
 
+# checked indices between two periodic checkpoint saves
+_SAVE_EVERY = 50
+
+
 class _Checkpoint:
-    """Cursor-plus-counterexamples state persisted as JSON."""
+    """Cursor-plus-counterexamples state persisted as JSON under a run header."""
 
     def __init__(self, path: str | Path, header: dict):
         self.path = Path(path)
         self.header = header
-        self.cursor = 0
-        self.counterexamples: list[dict] = []
 
-    def load(self) -> None:
+    def load(self) -> tuple[int, list[dict]]:
+        """The saved ``(cursor, counterexamples)``; ``(0, [])`` when there is no file."""
         if not self.path.exists():
-            return
+            return 0, []
         allow_big_str()
         data = json.loads(self.path.read_text())
         if not isinstance(data, dict):
@@ -137,12 +145,13 @@ class _Checkpoint:
             isinstance(w, dict) for w in found
         ):
             raise ValueError(f"checkpoint {self.path} needs an int cursor and a list of objects")
-        self.cursor, self.counterexamples = cursor, found
+        m_max = self.header["m_max"]
+        if not 0 <= cursor <= m_max:
+            raise ValueError(f"checkpoint {self.path} has cursor {cursor} outside 0..{m_max}")
+        return cursor, found
 
     def save(self, cursor: int, counterexamples: list[dict]) -> None:
         allow_big_str()
-        self.cursor = cursor
-        self.counterexamples = counterexamples
         payload = {
             "header": self.header,
             "cursor": cursor,
@@ -153,77 +162,76 @@ class _Checkpoint:
         tmp.replace(self.path)
 
 
+def _check_chunk(
+    check: Callable[[tuple], tuple[int, list[dict]]], chunk: list[tuple]
+) -> list[tuple[int, list[dict]]]:
+    return [check(payload) for payload in chunk]
+
+
 def _run_scan(
     claim: str,
-    m_min: int,
     m_max: int,
     payloads: Iterable[tuple],
     check: Callable[[tuple], tuple[int, list[dict]]],
     params: dict,
     workers: int = 1,
     checkpoint_path: str | Path | None = None,
-    checkpoint_every: int = 50,
-    stop_after: int | None = None,
 ) -> VerificationReport:
-    """Ordered scan driver shared by all claims.
+    """Ordered scan loop shared by all claims, which all start at m = 2.
 
-    ``payloads`` yields tuples whose first entry is the index m, in
+    ``payloads`` yields tuples whose first entry is the index m (>= 2), in
     increasing order; ``check`` maps a payload to ``(m, witnesses)`` and
     must be a module-level function so a process pool can run it.
-    ``stop_after`` ends the scan early after that many newly processed
-    indices, leaving a resumable checkpoint and a "partial" report.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     # a process pool starts every worker it is asked for at once
     workers = min(workers, os.cpu_count() or 1)
     t0 = time.monotonic()
-    header = {"claim": claim, "m_min": m_min, "m_max": m_max, "params": to_jsonable(params)}
+    header = {"claim": claim, "m_min": 2, "m_max": m_max, "params": to_jsonable(params)}
     ckpt = _Checkpoint(checkpoint_path, header) if checkpoint_path else None
+    cursor, witnesses = ckpt.load() if ckpt else (0, [])
     if ckpt:
-        ckpt.load()
         # fail on an unwritable path now, not after the whole scan
-        ckpt.save(ckpt.cursor, ckpt.counterexamples)
-    cursor = ckpt.cursor if ckpt else 0
-    witnesses = list(ckpt.counterexamples) if ckpt else []
+        ckpt.save(cursor, witnesses)
 
     todo = (p for p in payloads if p[0] > cursor)
-    stopped = False
-    processed = 0
-    saw_item = cursor > 0
 
     def results() -> Iterator[tuple[int, list[dict]]]:
-        if workers <= 1:
-            for payload in todo:
-                yield check(payload)
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                yield from pool.map(check, todo, chunksize=8)
+        if workers == 1:
+            yield from map(check, todo)
+            return
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            # tasks of 8 payloads, at most 2 * workers + 1 in flight, so the
+            # stream is drawn only a little ahead of the results taken
+            pending = deque()
+            for chunk in iter(lambda: list(islice(todo, 8)), []):
+                pending.append(pool.submit(_check_chunk, check, chunk))
+                if len(pending) > 2 * workers:
+                    yield from pending.popleft().result()
+            while pending:
+                yield from pending.popleft().result()
 
     try:
-        for m, found in results():
-            saw_item = True
+        for checked, (m, found) in enumerate(results(), 1):
             # one statement, so an interrupt cannot split a cursor from its witnesses
             cursor, witnesses = m, witnesses + found
-            processed += 1
-            if ckpt and processed % checkpoint_every == 0:
+            if ckpt and checked % _SAVE_EVERY == 0:
                 ckpt.save(cursor, witnesses)
-            if stop_after is not None and processed >= stop_after:
-                stopped = True
-                break
     finally:
         # also on KeyboardInterrupt, so a resumed scan skips the work already done
         if ckpt:
             ckpt.save(cursor, witnesses)
 
     witnesses.sort(key=lambda w: (int(w.get("m", 0)), str(w.get("kind", ""))))
-    if stopped or not saw_item:
+    # every index is >= 2, so cursor 0 means nothing was checked
+    if cursor == 0:
         status = "partial"
     else:
         status = "counterexample" if witnesses else "verified"
     return VerificationReport(
         claim=claim,
-        m_min=m_min,
+        m_min=2,
         m_max=m_max,
         status=status,
         counterexamples=witnesses,
@@ -274,23 +282,18 @@ def verify_gcd_power_of_two(
     m_max: int,
     workers: int = 1,
     checkpoint_path: str | Path | None = None,
-    checkpoint_every: int = 50,
-    stop_after: int | None = None,
 ) -> VerificationReport:
     """Check that gcd(sigma_m, sigma_{m/2}^2) is a power of 2 for even m <= m_max."""
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
     return _run_scan(
         "gcd-power-of-two",
-        2,
         m_max,
         _even_m_payloads(m_max),
         _check_gcd_power_of_two,
         params={"ord_policy": "not-involved"},
         workers=workers,
         checkpoint_path=checkpoint_path,
-        checkpoint_every=checkpoint_every,
-        stop_after=stop_after,
     )
 
 
@@ -298,23 +301,18 @@ def verify_numerator_coprimality(
     m_max: int,
     workers: int = 1,
     checkpoint_path: str | Path | None = None,
-    checkpoint_every: int = 50,
-    stop_after: int | None = None,
 ) -> VerificationReport:
     """Check gcd(num(|B_{2m}|/4m), num(|B_m|/2m)^2) = 1 for even m <= m_max."""
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
     return _run_scan(
         "numerator-coprimality",
-        2,
         m_max,
         _even_m_payloads(m_max),
         _check_numerator_coprimality,
         params={"ord_policy": "not-involved"},
         workers=workers,
         checkpoint_path=checkpoint_path,
-        checkpoint_every=checkpoint_every,
-        stop_after=stop_after,
     )
 
 
@@ -494,8 +492,6 @@ def verify_identity_suite(
     m_max: int,
     workers: int = 1,
     checkpoint_path: str | Path | None = None,
-    checkpoint_every: int = 50,
-    stop_after: int | None = None,
 ) -> VerificationReport:
     """Run every cross-module identity for 2 <= m <= m_max.
 
@@ -507,15 +503,12 @@ def verify_identity_suite(
     payloads = ((m,) for m in range(2, m_max + 1))
     return _run_scan(
         "identity-suite",
-        2,
         m_max,
         payloads,
         _check_identities,
         params={"ord_policy": "conjectural-1"},
         workers=workers,
         checkpoint_path=checkpoint_path,
-        checkpoint_every=checkpoint_every,
-        stop_after=stop_after,
     )
 
 

@@ -83,7 +83,7 @@ class TestPlumbingCommand:
         assert data["bezout"] is None
 
     def test_invalid_ord(self, capsys):
-        code, _ = run_cli(capsys, "plumbing", "--m", "3", "--ord", "2")
+        code, _ = run_cli(capsys, "lattice", "--m", "3", "--ord", "2")
         assert code == 1
 
 
@@ -338,6 +338,8 @@ class TestBadCheckpoint:
             ("cursor", None),
             ("cursor", [1]),
             ("cursor", True),
+            ("cursor", -2),
+            ("cursor", 31),
             ("counterexamples", "x"),
             ("counterexamples", [1]),
         ],
@@ -346,6 +348,8 @@ class TestBadCheckpoint:
             "cursor_null",
             "cursor_list",
             "cursor_bool",
+            "cursor_negative",
+            "cursor_past_max",
             "witnesses_str",
             "witness_int",
         ],

@@ -1,5 +1,6 @@
 import json
 import os
+from concurrent.futures import Future
 from math import gcd
 
 import pytest
@@ -115,8 +116,10 @@ class TestReportMechanics:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
+            def submit(self, fn, *args):
+                done = Future()
+                done.set_result(fn(*args))
+                return done
 
         monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
@@ -130,21 +133,6 @@ class TestReportMechanics:
     def test_workers_below_one_rejected(self, workers):
         with pytest.raises(ValueError):
             verify_gcd_power_of_two(40, workers=workers)
-
-    def test_resumability(self, tmp_path):
-        ckpt = tmp_path / "scan.json"
-        interrupted = verify_gcd_power_of_two(
-            100, checkpoint_path=ckpt, checkpoint_every=5, stop_after=20
-        )
-        assert interrupted.status == "partial"
-        assert 0 < interrupted.cursor < 100
-        resumed = verify_gcd_power_of_two(100, checkpoint_path=ckpt)
-        assert resumed.status == "verified"
-        assert resumed.cursor == 100
-        uninterrupted = verify_gcd_power_of_two(100)
-        assert resumed.to_json(include_wall_time=False) == uninterrupted.to_json(
-            include_wall_time=False
-        )
 
     def test_interrupt_leaves_last_cursor_on_disk(self, tmp_path, monkeypatch):
         ckpt = tmp_path / "scan.json"
@@ -164,6 +152,41 @@ class TestReportMechanics:
         assert resumed.to_json(include_wall_time=False) == verify_gcd_power_of_two(
             100
         ).to_json(include_wall_time=False)
+
+    def test_pool_interrupt_in_record_stream_leaves_cursor_on_disk(self, tmp_path, monkeypatch):
+        ckpt = tmp_path / "scan.json"
+        records = verify.record_range
+
+        def interrupted_at_600(m_max):
+            for rec in records(m_max):
+                if rec.n == 600:
+                    raise KeyboardInterrupt
+                yield rec
+
+        monkeypatch.setattr(verify, "record_range", interrupted_at_600)
+        with pytest.raises(KeyboardInterrupt):
+            verify_numerator_coprimality(1200, workers=2, checkpoint_path=ckpt)
+        # the pool draws the stream only a few chunks ahead of the results
+        assert json.loads(ckpt.read_text())["cursor"] >= 400
+        monkeypatch.undo()
+        resumed = verify_numerator_coprimality(1200, workers=2, checkpoint_path=ckpt)
+        assert resumed.to_json(include_wall_time=False) == verify_numerator_coprimality(
+            1200
+        ).to_json(include_wall_time=False)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_checkpoint_save_cadence(self, tmp_path, monkeypatch, workers):
+        saved = []
+        save = verify._Checkpoint.save
+
+        def recording_save(self, cursor, counterexamples):
+            saved.append(cursor)
+            save(self, cursor, counterexamples)
+
+        monkeypatch.setattr(verify._Checkpoint, "save", recording_save)
+        verify_gcd_power_of_two(300, workers=workers, checkpoint_path=tmp_path / "scan.json")
+        # 150 even indices: the early save, one per 50 checked, and the final one
+        assert saved == [0, 100, 200, 300, 300]
 
     def test_resuming_finished_scan_is_stable(self, tmp_path):
         ckpt = tmp_path / "scan.json"
