@@ -7,6 +7,8 @@ in-place algorithm, ``h_j[1] = (j-1)!``, ``h_j[k] = (j-k) h_{j-1}[k] +
 (j-k+2) h_j[k-1]`` for ``2 <= k < j``, and ``T_j = h_j[j] = 2 h_j[j-1]``.
 Column ``j`` needs only column ``j-1``, so ``T_1..T_n`` cost ``O(n^2)``
 multiplications of a big integer by a small one and one column of memory.
+Point queries go through a process-wide memo that keeps every ``T_n`` and
+record; :func:`record_range`, which scans read once in order, keeps nothing.
 
 From ``T_n`` everything else is a single reduced fraction:
 
@@ -26,6 +28,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice
 from math import gcd
 from typing import Iterator
 
@@ -58,44 +61,64 @@ class BernoulliRecord:
     j: int
 
 
+def _tangents() -> Iterator[int]:
+    """Yield ``T_1, T_2, ...`` forever, holding only the newest column ``h_j[1..j]``."""
+    column = [1]  # column[k-1] = h_j[k] for the newest j
+    yield 1
+    for j in count(2):
+        # entry i is h[k] at k = i+1 with a = j-k; h_j[0] = 0 starts the column
+        a = j - 1
+        h = 0
+        for i, x in enumerate(column):
+            h = a * x + (a + 2) * h
+            column[i] = h
+            a -= 1
+        h <<= 1
+        column.append(h)
+        yield h
+
+
+def _record(n: int, t: int) -> BernoulliRecord:
+    """The record of index ``n`` from ``t = T_n``."""
+    # shift out the power of 2, so only the odd factor 2^{2n}-1 needs a gcd
+    v = (t & -t).bit_length() - 1
+    t >>= v
+    odd = (1 << (2 * n)) - 1
+    g = gcd(t, odd)
+    num4 = t // g
+    j = (odd // g) << (2 * n + 1 - v)
+    return BernoulliRecord(n=n, abs_value=Fraction(4 * n * num4, j), num4=num4, j=j)
+
+
 class SeidelEngine:
     """Memoized Brent-Harvey tangent engine; the name is historical (Seidel's triangle).
 
-    The newest column ``h_j[1..j]`` is kept so that extending the range
-    reuses all previous work (each column is computed exactly once).  Cache
-    population happens under a single lock: concurrent first requests for
-    the same index compute it once, while reads of already cached values
-    are plain list lookups.
+    Every ``T_n`` drawn from one :func:`_tangents` stream is kept, so point
+    queries at any index reuse all previous work.  The stream is drawn under
+    a single lock: concurrent first requests for the same index compute it
+    once, while reads of already cached values are plain list lookups.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._column: list[int] = [1]  # _column[k-1] = h_j[k] for the newest j
-        self._tangent: list[int] = [0, 1]  # 1-indexed; _tangent[n] = T_n
+        self._stream = _tangents()
+        self._tangent: list[int] = [0]  # 1-indexed; _tangent[n] = T_n
         self._records: dict[int, BernoulliRecord] = {}
-
-    def _extend(self, n_target: int) -> None:
-        # caller holds the lock
-        column = self._column
-        tangent = self._tangent
-        for j in range(len(tangent), n_target + 1):
-            # entry i is h[k] at k = i+1 with a = j-k; h_j[0] = 0 starts the column
-            a = j - 1
-            h = 0
-            for i, x in enumerate(column):
-                h = a * x + (a + 2) * h
-                column[i] = h
-                a -= 1
-            h <<= 1
-            column.append(h)
-            tangent.append(h)
 
     def tangent(self, n: int) -> int:
         if n < 1:
             raise ValueError("tangent numbers are indexed from 1")
         if n >= len(self._tangent):
             with self._lock:
-                self._extend(n)  # a no-op if another thread got here first
+                tangent = self._tangent
+                try:
+                    while len(tangent) <= n:  # no-op if another thread got here first
+                        tangent.append(next(self._stream))
+                except BaseException:
+                    # an interrupt mid-column ends the generator, so its half-updated
+                    # column is never read; restart a stream that resumes after the memo
+                    self._stream = islice(_tangents(), len(tangent) - 1, None)
+                    raise
         return self._tangent[n]
 
     def tangent_range(self, limit: int) -> list[int]:
@@ -108,23 +131,8 @@ class SeidelEngine:
     def record(self, n: int) -> BernoulliRecord:
         rec = self._records.get(n)
         if rec is None:
-            # shift out the power of 2, so only the odd factor 2^{2n}-1 needs a gcd
-            t = self.tangent(n)
-            v = (t & -t).bit_length() - 1
-            t >>= v
-            odd = (1 << (2 * n)) - 1
-            g = gcd(t, odd)
-            num4 = t // g
-            j = (odd // g) << (2 * n + 1 - v)
-            rec = BernoulliRecord(n=n, abs_value=Fraction(4 * n * num4, j), num4=num4, j=j)
-            rec = self._records.setdefault(n, rec)
+            rec = self._records.setdefault(n, _record(n, self.tangent(n)))
         return rec
-
-    def record_range(self, limit: int) -> Iterator[BernoulliRecord]:
-        if limit < 0:
-            raise ValueError("limit must be >= 0")
-        for n in range(1, limit + 1):
-            yield self.record(n)
 
 
 _ENGINE = SeidelEngine()
@@ -151,8 +159,12 @@ def bernoulli_record(n: int) -> BernoulliRecord:
 
 
 def record_range(limit: int) -> Iterator[BernoulliRecord]:
-    """Yield records ``n = 1 .. limit`` in order, extending the engine on demand."""
-    return _ENGINE.record_range(limit)
+    """Yield records ``n = 1 .. limit`` in order from a stream of their own;
+    the engine memo is neither read nor filled."""
+    if limit < 0:
+        raise ValueError("limit must be >= 0")
+    for n, t in enumerate(islice(_tangents(), limit), 1):
+        yield _record(n, t)
 
 
 def _primes_upto(n: int) -> list[int]:

@@ -4,7 +4,7 @@ All integers are printed as decimal strings (values overflow 64-bit from
 m around 16 on) and rationals as {"num": ..., "den": ...} objects.  Exit
 codes: 0 for success / verified, 2 when a verification scan found a
 counterexample, 1 for any error (including bad usage, so that 2 stays
-reserved for counterexamples).
+reserved for counterexamples) and for a scan stopped by Ctrl-C or SIGTERM.
 """
 
 from __future__ import annotations
@@ -179,6 +179,11 @@ def _cmd_verify(args) -> int:
     previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         report = fn(m_max, workers=args.workers, checkpoint_path=args.checkpoint)
+    except KeyboardInterrupt:
+        # the scan has saved its checkpoint on the way out
+        saved = f"; checkpoint saved to {args.checkpoint}" if args.checkpoint else ""
+        print(f"interrupted: {args.claim} scan stopped{saved}", file=sys.stderr)
+        return 1
     finally:
         signal.signal(signal.SIGTERM, previous)
     if args.format == "json":

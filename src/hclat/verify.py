@@ -5,15 +5,17 @@ Three claims are scanned over ranges of the dimension parameter m:
 * ``gcd-power-of-two``: for even m, gcd(sigma_m, sigma_{m/2}^2) is a power
   of 2 (its 2-adic valuation must always be 2m + 1; a nontrivial odd part
   is the interesting kind of counterexample, first occurring at m = 2678
-  with odd part 34511).
+  with odd part 34511).  The valuation is read off both integers and the
+  odd parts are compared before anything is squared.
 * ``numerator-coprimality``: for even m, num(|B_{2m}|/4m) and
   num(|B_m|/2m)^2 are coprime.
 * ``identity-suite``: every cross-module identity of the library, per m.
 
 Failures are report entries, never exceptions.  The Bernoulli stream is
-produced once by the parent; per-index check work can be spread over a
-process pool without changing any report content.  The pool is fed in
-chunks of a few payloads with at most ``2 * workers + 1`` chunks in flight,
+produced once by the parent from ``bernoulli.record_range``, which keeps
+one column, not the library's memo; per-index check work can be spread
+over a process pool without changing any report content.  The pool is fed
+in chunks of a few payloads with at most ``2 * workers + 1`` chunks in flight,
 so the stream, the results and the checkpoint saves advance together and
 memory stays bounded.  Checkpoints persist the scan cursor and the
 counterexamples found so far, not Bernoulli data, every 50 checked indices
@@ -259,9 +261,15 @@ def _even_m_payloads(m_max: int) -> Iterator[tuple[int, int, int]]:
 
 def _check_gcd_power_of_two(payload: tuple[int, int, int]) -> tuple[int, list[dict]]:
     m, num4_m, num4_half = payload
-    g = gcd(_sigma_from_num4(m, num4_m), _sigma_from_num4(m // 2, num4_half) ** 2)
-    nu = (g & -g).bit_length() - 1
-    odd = g >> nu
+    a, b = _sigma_from_num4(m, num4_m), _sigma_from_num4(m // 2, num4_half)
+    # gcd(a, b^2) = 2^min(nu2 a, 2 nu2 b) * gcd(odd a, (odd b)^2), the 2-adic part
+    # read off the integers; the square is formed only when the odd parts share a factor
+    nu_a, nu_b = (a & -a).bit_length() - 1, (b & -b).bit_length() - 1
+    nu = min(nu_a, 2 * nu_b)
+    a, b = a >> nu_a, b >> nu_b
+    odd = gcd(a, b)
+    if odd != 1:
+        odd = gcd(a, b**2)
     found = []
     if odd != 1:
         found.append({"m": m, "kind": "odd_part", "gcd_nu2": nu, "gcd_odd_part": odd})

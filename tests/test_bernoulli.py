@@ -1,4 +1,5 @@
 import random
+import signal
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -119,6 +120,21 @@ class TestEngineAgainstSeidelTriangle:
             rec = engine.record(n)
             assert (rec.num4, rec.j) == (ratio4.numerator, ratio4.denominator)
             assert rec.abs_value == ratio4 * (4 * n)
+
+    def test_interrupted_extension_leaves_later_values_exact(self):
+        engine = SeidelEngine()
+        previous = signal.signal(signal.SIGALRM, signal.default_int_handler)
+        try:
+            # T_3000 takes many seconds, so the alarm lands inside the extension,
+            # almost always in the middle of a column
+            signal.setitimer(signal.ITIMER_REAL, 0.2)
+            with pytest.raises(KeyboardInterrupt):
+                engine.tangent(3000)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        limit = len(engine._tangent) + 20
+        assert engine.tangent_range(limit) == SeidelEngine().tangent_range(limit)
 
     @pytest.mark.long
     def test_fresh_engine_matches_triangle_to_3000(self):

@@ -366,7 +366,7 @@ class TestBadCheckpoint:
         assert err.startswith("error:")
 
 
-def test_sigterm_saves_the_checkpoint(tmp_path, monkeypatch):
+def test_sigterm_saves_the_checkpoint(capsys, tmp_path, monkeypatch):
     ckpt = tmp_path / "scan.json"
     before = signal.getsignal(signal.SIGTERM)
     check = verify._check_gcd_power_of_two
@@ -380,7 +380,22 @@ def test_sigterm_saves_the_checkpoint(tmp_path, monkeypatch):
 
     monkeypatch.setattr(verify, "_check_gcd_power_of_two", terminated_at_40)
     argv = ["verify", "gcd-power-of-two", "--max", "100", "--workers", "1"]
-    with pytest.raises(KeyboardInterrupt):
-        main(argv + ["--checkpoint", str(ckpt)])
+    assert main(argv + ["--checkpoint", str(ckpt)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"interrupted: gcd-power-of-two scan stopped; checkpoint saved to {ckpt}\n"
+    )
     assert json.loads(ckpt.read_text())["cursor"] == 38
     assert signal.getsignal(signal.SIGTERM) is before
+
+
+def test_interrupt_without_checkpoint_exits_cleanly(capsys, monkeypatch):
+    def interrupted(payload):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(verify, "_check_numerator_coprimality", interrupted)
+    assert main(["verify", "numerator-coprimality", "--max", "40"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "interrupted: numerator-coprimality scan stopped\n"

@@ -1,12 +1,14 @@
 import json
 import os
+import random
 from concurrent.futures import Future
 from math import gcd
 
 import pytest
 
-from hclat import verify
+from hclat import bernoulli, verify
 from hclat.bernoulli import bernoulli_abs
+from hclat.cli import main
 from hclat.verify import (
     verify_gcd_power_of_two,
     verify_identity_suite,
@@ -31,6 +33,39 @@ class TestGcdPowerOfTwo:
     def test_invalid_range(self):
         with pytest.raises(ValueError):
             verify_gcd_power_of_two(1)
+
+    def test_synthetic_payloads_match_full_gcd(self):
+        # shared odd factors (some only in the square) and broken 2-adic laws,
+        # each checked against the full gcd(sigma_m, sigma_{m/2}^2)
+        def full_gcd_witnesses(m, num4_m, num4_half):
+            sigma_half = verify._sigma_from_num4(m // 2, num4_half)
+            g = gcd(verify._sigma_from_num4(m, num4_m), sigma_half**2)
+            nu = (g & -g).bit_length() - 1
+            found = []
+            if g >> nu != 1:
+                found.append({"m": m, "kind": "odd_part", "gcd_nu2": nu, "gcd_odd_part": g >> nu})
+            if nu != 2 * m + 1:
+                found.append({"m": m, "kind": "nu2_law", "gcd_nu2": nu, "expected_nu2": 2 * m + 1})
+            return found
+
+        rng = random.Random(2678)
+        kinds = set()
+        for i in range(150):
+            m = 2 * rng.randint(1, 200)
+            num4_m, num4_half = rng.getrandbits(80) | 1, rng.getrandbits(80) | 1
+            if i % 3 != 1:
+                p = rng.choice([3, 5, 7, 691, 34511])
+                num4_m *= p ** rng.randint(1, 3)
+                num4_half *= p
+            if i % 3 != 0:
+                if rng.random() < 0.5:
+                    num4_m <<= rng.randint(1, 5)
+                else:
+                    num4_half <<= rng.randint(1, 5)
+            expected = full_gcd_witnesses(m, num4_m, num4_half)
+            assert verify._check_gcd_power_of_two((m, num4_m, num4_half)) == (m, expected)
+            kinds.update(w["kind"] for w in expected)
+        assert kinds == {"odd_part", "nu2_law"}
 
 
 class TestNumeratorCoprimality:
@@ -228,3 +263,14 @@ def test_identity_suite_to_1000():
     report = verify_identity_suite(1000)
     assert report.status == "verified"
     assert report.counterexamples == []
+
+
+def test_scans_leave_the_engine_memo_alone(monkeypatch, capsys):
+    engine = bernoulli.SeidelEngine()
+    monkeypatch.setattr(bernoulli, "_ENGINE", engine)
+    assert verify_gcd_power_of_two(200).status == "verified"
+    assert verify_numerator_coprimality(200, workers=2).status == "verified"
+    assert main(["bernoulli", "--n", "50", "--range"]) == 0
+    assert len(json.loads(capsys.readouterr().out)) == 50
+    assert engine._tangent == [0]
+    assert engine._records == {}
