@@ -34,7 +34,7 @@ from .lattices import (
     minimal_ahat,
     minimal_signature,
 )
-from .plumbing import profile, require_bezout_for
+from .plumbing import lambda_k, profile, require_bezout_for
 
 __all__ = [
     "KappaExpression",
@@ -114,8 +114,7 @@ def kappa_basis(
     if m % 2:
         return [KappaExpression(Fraction(1, 2 * factorial(2 * m - 1) * prof.j), Fraction(0))]
     k = m // 2
-    if bezout is None:
-        bezout = prof.bezout
+    bezout = bezout or prof.bezout
     require_bezout_for(m, bezout)
     f2k = factorial(2 * k - 1)
     f4k = factorial(4 * k - 1)
@@ -128,7 +127,7 @@ def kappa_basis(
     )
     pure = KappaExpression(
         Fraction(0),
-        Fraction(1, 2 * prof.mu * pk.a**2 * ord.value * f2k**2),
+        Fraction(1, 2 * lambda_k(k) * pk.a**2 * ord.value * f2k**2),
     )
     return [mixed, pure]
 

@@ -29,13 +29,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _record_fields(rec: bernoulli.BernoulliRecord) -> dict:
-    return {
-        "n": str(rec.n),
-        "abs_num": str(rec.abs_value.numerator),
-        "abs_den": str(rec.abs_value.denominator),
-        "num4": str(rec.num4),
-        "j": str(rec.j),
-    }
+    q = rec.abs_value
+    row = dict(n=rec.n, abs_num=q.numerator, abs_den=q.denominator, num4=rec.num4, j=rec.j)
+    return to_jsonable(row)
 
 
 def _emit(data) -> None:
@@ -94,7 +90,7 @@ def _cmd_plumbing(args) -> int:
             "bp_order": plumbing.bp_order(args.m),
             "pk2_Q": plumbing.pk2_of_Q(args.m // 2) if even else None,
             "s_Q": plumbing.s_of_Q(args.m) if args.m >= 2 else None,
-            "bezout": asdict(prof.bezout) if prof.bezout else None,
+            "bezout": asdict(prof.bezout) if even else None,
         }
     )
     if args.format == "json":

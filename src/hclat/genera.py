@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .bernoulli import bernoulli_record, tangent_number
+from .bernoulli import tangent_number
 from .exact import BezoutPair
 from .plumbing import profile, require_bezout_for, sigma_over_a
 
@@ -77,8 +77,8 @@ def shat(n: int) -> Fraction:
     """``shat_n = -(1/(2n-1)!) |B_{2n}|/4n``; e.g. ``shat(1) == -1/24``."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    rec = bernoulli_record(n)
-    return -Fraction(rec.num4, rec.j * factorial(2 * n - 1))
+    prof = profile(n)
+    return -Fraction(prof.num4, prof.j * factorial(2 * n - 1))
 
 
 def s(n: int) -> Fraction:

@@ -21,9 +21,9 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial, gcd
 
-from .bernoulli import bernoulli_abs, bernoulli_record, tangent_number
+from .bernoulli import bernoulli_abs, tangent_number
 from .exact import BezoutPair, nu2
-from .plumbing import profile, require_bezout_for
+from .plumbing import lambda_k, profile, require_bezout_for
 
 __all__ = [
     "VARIANTS",
@@ -72,7 +72,7 @@ class OrdParameter:
             if self.value != 1:
                 raise ValueError(f"ord is known to be 1 for m={self.m}")
         elif self.m % 2 == 0:
-            j_half = bernoulli_record(self.m // 2).j
+            j_half = profile(self.m // 2).j
             if j_half**2 % self.value:
                 raise ValueError(
                     f"ord={self.value} does not divide j_{self.m // 2}^2 = {j_half**2}"
@@ -194,8 +194,7 @@ def generator_invariants(
 
     k = m // 2
     pk = profile(k)
-    if bezout is None:
-        bezout = prof.bezout
+    bezout = bezout or prof.bezout
     require_bezout_for(m, bezout)
     c, d = bezout.c, bezout.d
     f2k = factorial(2 * k - 1)
@@ -203,9 +202,9 @@ def generator_invariants(
     g1 = InvariantVector(prof.sigma, -prof.num4, f4k * prof.j, 0)
 
     weight = (
-        Fraction(ord.value * pk.a**2, prof.mu)
+        Fraction(ord.value * pk.a**2, lambda_k(k))
         if variant == "full_kernel"
-        else Fraction(ord.value * pk.a**2 * prof.mu)
+        else Fraction(ord.value * pk.a**2 * lambda_k(k))
     )
     b4k = Fraction(pk.num4, pk.j)  # |B_{2k}| / 4k
     x = b4k * (bernoulli_abs(k) / bernoulli_abs(2 * k) + (-1) ** (k + 1))

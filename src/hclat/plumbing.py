@@ -16,7 +16,7 @@ evaluated exactly and must agree before the value is returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -33,7 +33,9 @@ __all__ = [
     "s_of_Q_formulas",
     "stolz_s",
     "lambda_k",
+    "a_m",
     "sigma_over_a",
+    "sigma_m",
     "require_bezout_for",
 ]
 
@@ -44,6 +46,11 @@ def lambda_k(k: int) -> int:
     return 2 if k in (1, 2) else 1
 
 
+def a_m(m: int) -> int:
+    """``a_m``: 2 for odd m, 1 for even m."""
+    return 2 if m % 2 else 1
+
+
 def sigma_over_a(m: int, num4: int = 1) -> int:
     """``sigma_m / a_m = 2^{2m+1}(2^{2m-1}-1) num4``, with ``num4 = num(|B_{2m}|/4m)``.
 
@@ -52,16 +59,19 @@ def sigma_over_a(m: int, num4: int = 1) -> int:
     return (1 << (2 * m + 1)) * ((1 << (2 * m - 1)) - 1) * num4
 
 
+def sigma_m(m: int, num4: int) -> int:
+    """``sigma_m`` from m and ``num4`` alone, for pool workers that hold no profile."""
+    return a_m(m) * sigma_over_a(m, num4)
+
+
 @dataclass(frozen=True)
 class DimensionProfile:
-    """The constants attached to dimension ``4m``.
+    """The constants attached to dimension ``4m``, each computed here and nowhere else.
 
-    ``sigma`` is the minimal positive signature of an almost parallelizable
-    ``4m``-manifold, ``a = 2`` iff ``m`` is odd, and ``num4 / j`` is the
-    reduced ``|B_{2m}|/4m``.  For even ``m = 2k`` the profile also carries
-    ``k``, ``lam = lambda_k``, ``mu`` (the index of the second lattice
-    generator, equal to ``lambda_k``), and the canonical (normalized) Bezout
-    pair for ``(num4, j)``.
+    ``a = a_m`` (2 iff ``m`` is odd), ``sigma = sigma_m`` is the minimal
+    positive signature of an almost parallelizable ``4m``-manifold,
+    ``num4 / j`` is the reduced ``|B_{2m}|/4m``, and ``bezout`` is the
+    canonical (normalized) Bezout pair ``c num4 + d j = 1`` for it.
     """
 
     m: int
@@ -69,10 +79,7 @@ class DimensionProfile:
     sigma: int
     num4: int
     j: int
-    k: int | None = None
-    lam: int | None = None
-    mu: int | None = None
-    bezout: BezoutPair | None = None
+    bezout: BezoutPair
 
 
 _profiles: dict[int, DimensionProfile] = {}
@@ -86,20 +93,14 @@ def profile(m: int) -> DimensionProfile:
     if m < 1:
         raise ValueError("m must be >= 1")
     rec = bernoulli_record(m)
-    a = 2 if m % 2 else 1
-    sigma = a * sigma_over_a(m, rec.num4)
-    prof = DimensionProfile(m=m, a=a, sigma=sigma, num4=rec.num4, j=rec.j)
-    if m % 2 == 0:
-        lam = lambda_k(m // 2)
-        bezout = normalize_bezout(rec.num4, rec.j)
-        prof = replace(prof, k=m // 2, lam=lam, mu=lam, bezout=bezout)
+    bezout = normalize_bezout(rec.num4, rec.j)
+    prof = DimensionProfile(m, a_m(m), sigma_m(m, rec.num4), rec.num4, rec.j, bezout)
     return _profiles.setdefault(m, prof)
 
 
 def canonical_bezout(m: int) -> BezoutPair:
     """The normalized Bezout pair for the reduced ``|B_{2m}|/4m`` (any m >= 1)."""
-    prof = profile(m)
-    return prof.bezout or normalize_bezout(prof.num4, prof.j)
+    return profile(m).bezout
 
 
 def require_bezout_for(m: int, bezout: BezoutPair) -> None:
@@ -130,8 +131,7 @@ def pk2_of_Q(k: int) -> int:
     """The Pontryagin number ``p_k^2`` of the hyperbolic plumbing in dimension 8k."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    a = 2 if k % 2 else 1
-    return 2 * lambda_k(k) ** 2 * a**2 * factorial(2 * k - 1) ** 2
+    return 2 * lambda_k(k) ** 2 * a_m(k) ** 2 * factorial(2 * k - 1) ** 2
 
 
 def s_of_Q_formulas(k: int, bezout: BezoutPair) -> tuple[Fraction, Fraction]:
@@ -177,9 +177,7 @@ def s_of_Q(m: int, bezout: BezoutPair | None = None) -> int:
     if m % 2:
         return 0
     k = m // 2
-    if bezout is None:
-        bezout = profile(m).bezout
-    first, second = s_of_Q_formulas(k, bezout)
+    first, second = s_of_Q_formulas(k, bezout or profile(m).bezout)
     if first != second:
         raise RuntimeError(
             f"the two formulas for s(Q) disagree at k={k}: {first} != {second}"

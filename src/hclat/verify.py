@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import signal
 import sys
 import time
 from collections import deque
@@ -164,6 +165,14 @@ class _Checkpoint:
         tmp.replace(self.path)
 
 
+def _leave_interrupts_to_the_parent() -> None:
+    # Ctrl-C and a group SIGTERM reach the workers too: what the parent turns into
+    # KeyboardInterrupt is its alone to act on, what kills it must kill them as well
+    for sig in (signal.SIGINT, signal.SIGTERM):
+        if signal.getsignal(sig) is signal.default_int_handler:
+            signal.signal(sig, signal.SIG_IGN)
+
+
 def _check_chunk(
     check: Callable[[tuple], tuple[int, list[dict]]], chunk: list[tuple]
 ) -> list[tuple[int, list[dict]]]:
@@ -203,7 +212,7 @@ def _run_scan(
         if workers == 1:
             yield from map(check, todo)
             return
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(workers, initializer=_leave_interrupts_to_the_parent) as pool:
             # tasks of 8 payloads, at most 2 * workers + 1 in flight, so the
             # stream is drawn only a little ahead of the results taken
             pending = deque()
@@ -243,11 +252,6 @@ def _run_scan(
     )
 
 
-def _sigma_from_num4(m: int, num4: int) -> int:
-    # from the payload alone: pool workers hold no Bernoulli records or profiles
-    return (2 if m % 2 else 1) * plumbing.sigma_over_a(m, num4)
-
-
 def _even_m_payloads(m_max: int) -> Iterator[tuple[int, int, int]]:
     """Stream (m, num4_m, num4_{m/2}) for even m, producing each record once."""
     num4: dict[int, int] = {}
@@ -261,7 +265,7 @@ def _even_m_payloads(m_max: int) -> Iterator[tuple[int, int, int]]:
 
 def _check_gcd_power_of_two(payload: tuple[int, int, int]) -> tuple[int, list[dict]]:
     m, num4_m, num4_half = payload
-    a, b = _sigma_from_num4(m, num4_m), _sigma_from_num4(m // 2, num4_half)
+    a, b = plumbing.sigma_m(m, num4_m), plumbing.sigma_m(m // 2, num4_half)
     # gcd(a, b^2) = 2^min(nu2 a, 2 nu2 b) * gcd(odd a, (odd b)^2), the 2-adic part
     # read off the integers; the square is formed only when the odd parts share a factor
     nu_a, nu_b = (a & -a).bit_length() - 1, (b & -b).bit_length() - 1
@@ -440,7 +444,7 @@ def _check_identities(payload: tuple[int]) -> tuple[int, list[dict]]:
             # an exact integer multiple of sigma_{2k}/8
             run(
                 "j2_s_congruence",
-                lambda: (prof_k.j**2 * s_q + prof.lam**2 * prof_k.sigma**2 // 8)
+                lambda: (prof_k.j**2 * s_q + plumbing.lambda_k(k) ** 2 * prof_k.sigma**2 // 8)
                 % (prof.sigma // 8)
                 == 0,
             )

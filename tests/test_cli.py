@@ -1,9 +1,15 @@
 import json
 import os
 import signal
+import subprocess
+import sys
+import time
+from functools import cache
+from pathlib import Path
 
 import pytest
 
+import hclat
 from hclat import verify
 from hclat.cli import main
 
@@ -399,3 +405,99 @@ def test_interrupt_without_checkpoint_exits_cleanly(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "interrupted: numerator-coprimality scan stopped\n"
+
+
+@cache
+def _uninterrupted_coprimality(m_max: int) -> str:
+    return verify.verify_numerator_coprimality(m_max).to_json(include_wall_time=False)
+
+
+def _saved_cursor(ckpt: Path) -> int:
+    try:
+        return json.loads(ckpt.read_text())["cursor"]
+    except FileNotFoundError:
+        return 0
+
+
+def _signal_group_mid_scan(ckpt: Path, signum: int, *argv: str, capture: bool = True) -> tuple:
+    """Run ``python *argv`` as its own process group and send it ``signum`` once
+    the scan has saved a cursor above 0 to ``ckpt``; returns the ended process
+    with its stdout and stderr, read until every process holding them is gone
+    (both None without ``capture``, which waits for the leader alone)."""
+    src = str(Path(hclat.__file__).resolve().parents[1])
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    output = subprocess.PIPE if capture else subprocess.DEVNULL
+    proc = subprocess.Popen(
+        [sys.executable, *argv],
+        env=env,
+        stdout=output,
+        stderr=output,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while _saved_cursor(ckpt) == 0:
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.005)
+        os.killpg(proc.pid, signum)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    return proc, out, err
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs for two workers")
+@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
+def test_group_signal_with_workers_prints_one_line(tmp_path, signum):
+    # a signal to the whole process group, as Ctrl-C in a terminal sends, reaches
+    # the pool workers too; only the parent may report it
+    ckpt, m_max = tmp_path / "scan.json", 1000
+    argv = ["verify", "numerator-coprimality", "--max", str(m_max), "--workers", "2"]
+    proc, out, err = _signal_group_mid_scan(
+        ckpt, signum, "-m", "hclat.cli", *argv, "--checkpoint", str(ckpt)
+    )
+    assert proc.returncode == 1
+    assert out == ""
+    assert err == (
+        f"interrupted: numerator-coprimality scan stopped; checkpoint saved to {ckpt}\n"
+    )
+    assert 0 < _saved_cursor(ckpt) < m_max
+    resumed = verify.verify_numerator_coprimality(m_max, workers=2, checkpoint_path=ckpt)
+    assert resumed.to_json(include_wall_time=False) == _uninterrupted_coprimality(m_max)
+
+
+def _live_processes_in_group(pgid: int) -> list[str]:
+    live = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            state, _, pgrp = stat.read_text().rsplit(")", 1)[1].split()[:3]
+        except OSError:  # the process ended meanwhile
+            continue
+        if int(pgrp) == pgid and state != "Z":
+            live.append(stat.parent.name)
+    return live
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs for two workers")
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states in /proc")
+def test_group_sigterm_outside_the_cli_ends_the_workers(tmp_path):
+    # without the CLI's handler SIGTERM kills the parent outright; workers that
+    # ignored it would wait on the pool's call queue forever
+    ckpt = tmp_path / "scan.json"
+    scan = (
+        "from hclat.verify import verify_numerator_coprimality as scan; "
+        f"scan(3000, workers=2, checkpoint_path={str(ckpt)!r})"
+    )
+    proc, _, _ = _signal_group_mid_scan(ckpt, signal.SIGTERM, "-c", scan, capture=False)
+    assert proc.returncode == -signal.SIGTERM
+    deadline = time.monotonic() + 10
+    while _live_processes_in_group(proc.pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    left = _live_processes_in_group(proc.pid)
+    for pid in left:
+        os.kill(int(pid), signal.SIGKILL)
+    assert left == []

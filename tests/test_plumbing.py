@@ -1,3 +1,4 @@
+from dataclasses import fields
 from fractions import Fraction
 from math import gcd
 
@@ -8,8 +9,10 @@ from hclat.exact import nu2
 from hclat.genera import stolz_class_coeffs
 from hclat.lattices import generator_invariants
 from hclat.plumbing import (
+    DimensionProfile,
     bp_order,
     canonical_bezout,
+    lambda_k,
     pk2_of_Q,
     profile,
     s_of_Q,
@@ -26,20 +29,16 @@ class TestProfile:
         assert profile(3).a == 2
         assert profile(4).a == 1
 
-    def test_even_profile_extras(self):
-        prof = profile(6)
-        assert prof.k == 3
-        assert prof.lam == 1 and prof.mu == 1
+    def test_fields(self):
+        names = [f.name for f in fields(DimensionProfile)]
+        assert names == ["m", "a", "sigma", "num4", "j", "bezout"]
+
+    @pytest.mark.parametrize("m", [3, 6, 9, 200, 201])
+    def test_canonical_bezout_is_the_profile_pair(self, m):
+        prof = profile(m)
+        assert canonical_bezout(m) is prof.bezout
         assert prof.bezout.is_normalized
-        assert prof.bezout.for_numerator == prof.num4
-
-    def test_lambda_mu_small(self):
-        assert (profile(2).lam, profile(2).mu) == (2, 2)
-        assert (profile(4).lam, profile(4).mu) == (2, 2)
-
-    def test_odd_profile_has_no_even_fields(self):
-        prof = profile(3)
-        assert prof.k is None and prof.bezout is None
+        assert (prof.bezout.for_numerator, prof.bezout.for_denominator) == (prof.num4, prof.j)
 
     def test_nu2_law_up_to_300(self):
         for m in range(1, 301):
@@ -66,6 +65,11 @@ class TestProfile:
 def test_bezout_pair_for_another_m_rejected(consumer):
     with pytest.raises(ValueError):
         consumer(6, canonical_bezout(4))
+
+
+@pytest.mark.parametrize("k,value", [(1, 2), (2, 2), (3, 1), (4, 1)])
+def test_lambda_k_table(k, value):
+    assert lambda_k(k) == value
 
 
 class TestBpOrder:

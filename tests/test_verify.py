@@ -9,6 +9,7 @@ import pytest
 from hclat import bernoulli, verify
 from hclat.bernoulli import bernoulli_abs
 from hclat.cli import main
+from hclat.plumbing import sigma_m
 from hclat.verify import (
     verify_gcd_power_of_two,
     verify_identity_suite,
@@ -38,8 +39,7 @@ class TestGcdPowerOfTwo:
         # shared odd factors (some only in the square) and broken 2-adic laws,
         # each checked against the full gcd(sigma_m, sigma_{m/2}^2)
         def full_gcd_witnesses(m, num4_m, num4_half):
-            sigma_half = verify._sigma_from_num4(m // 2, num4_half)
-            g = gcd(verify._sigma_from_num4(m, num4_m), sigma_half**2)
+            g = gcd(sigma_m(m, num4_m), sigma_m(m // 2, num4_half) ** 2)
             nu = (g & -g).bit_length() - 1
             found = []
             if g >> nu != 1:
@@ -142,7 +142,8 @@ class TestReportMechanics:
         requested = []
 
         class SerialPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer=None):
+                # the initializer is not run: it would change this process's signal handlers
                 requested.append(max_workers)
 
             def __enter__(self):
