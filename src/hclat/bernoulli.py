@@ -32,7 +32,7 @@ from itertools import count, islice
 from math import gcd
 from typing import Iterator
 
-from .exact import padic_valuation
+from .exact import nu2, padic_valuation
 
 __all__ = [
     "BernoulliRecord",
@@ -81,7 +81,7 @@ def _tangents() -> Iterator[int]:
 def _record(n: int, t: int) -> BernoulliRecord:
     """The record of index ``n`` from ``t = T_n``."""
     # shift out the power of 2, so only the odd factor 2^{2n}-1 needs a gcd
-    v = (t & -t).bit_length() - 1
+    v = nu2(t)
     t >>= v
     odd = (1 << (2 * n)) - 1
     g = gcd(t, odd)

@@ -131,5 +131,4 @@ def odd_part(n: int) -> int:
     """``n`` with all factors of 2 removed (``n`` must be nonzero)."""
     if n == 0:
         raise ValueError("0 has no odd part")
-    n = abs(n)
-    return n >> ((n & -n).bit_length() - 1)
+    return abs(n) >> nu2(n)

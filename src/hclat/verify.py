@@ -14,7 +14,9 @@ Three claims are scanned over ranges of the dimension parameter m:
 Failures are report entries, never exceptions.  The Bernoulli stream is
 produced once by the parent from ``bernoulli.record_range``, which keeps
 one column, not the library's memo; per-index check work can be spread
-over a process pool without changing any report content.  The pool is fed
+over a process pool without changing any report content.  Only the checks
+are spread, not the stream, so ``workers`` pays for ``identity-suite`` and
+not for the two prefix scans, whose cost is the serial stream.  The pool is fed
 in chunks of a few payloads with at most ``2 * workers + 1`` chunks in flight,
 so the stream, the results and the checkpoint saves advance together and
 memory stays bounded.  Checkpoints persist the scan cursor and the
@@ -151,6 +153,15 @@ class _Checkpoint:
         m_max = self.header["m_max"]
         if not 0 <= cursor <= m_max:
             raise ValueError(f"checkpoint {self.path} has cursor {cursor} outside 0..{m_max}")
+        # every witness a check yields has an index the cursor has passed and a kind
+        if not all(
+            type(w.get("m")) is int and 2 <= w["m"] <= cursor and isinstance(w.get("kind"), str)
+            for w in found
+        ):
+            raise ValueError(
+                f"checkpoint {self.path} has a counterexample without an int m in "
+                f"2..{cursor} and a str kind"
+            )
         return cursor, found
 
     def save(self, cursor: int, counterexamples: list[dict]) -> None:
@@ -234,7 +245,7 @@ def _run_scan(
         if ckpt:
             ckpt.save(cursor, witnesses)
 
-    witnesses.sort(key=lambda w: (int(w.get("m", 0)), str(w.get("kind", ""))))
+    witnesses.sort(key=lambda w: (w["m"], w["kind"]))
     # every index is >= 2, so cursor 0 means nothing was checked
     if cursor == 0:
         status = "partial"
@@ -268,7 +279,7 @@ def _check_gcd_power_of_two(payload: tuple[int, int, int]) -> tuple[int, list[di
     a, b = plumbing.sigma_m(m, num4_m), plumbing.sigma_m(m // 2, num4_half)
     # gcd(a, b^2) = 2^min(nu2 a, 2 nu2 b) * gcd(odd a, (odd b)^2), the 2-adic part
     # read off the integers; the square is formed only when the odd parts share a factor
-    nu_a, nu_b = (a & -a).bit_length() - 1, (b & -b).bit_length() - 1
+    nu_a, nu_b = nu2(a), nu2(b)
     nu = min(nu_a, 2 * nu_b)
     a, b = a >> nu_a, b >> nu_b
     odd = gcd(a, b)
@@ -328,21 +339,6 @@ def verify_numerator_coprimality(
     )
 
 
-def _identity_witness(m: int, kind: str, detail: str) -> dict:
-    return {"m": m, "kind": kind, "detail": detail}
-
-
-def _run_identity(out: list[dict], m: int, kind: str, fn: Callable[[], bool | None]) -> None:
-    # an identity "fails" either by returning False or by raising
-    try:
-        ok = fn()
-    except Exception as exc:  # noqa: BLE001 - failures become report entries
-        out.append(_identity_witness(m, kind, f"raised {type(exc).__name__}: {exc}"))
-        return
-    if ok is False:
-        out.append(_identity_witness(m, kind, "identity evaluated to False"))
-
-
 def _check_identities(payload: tuple[int]) -> tuple[int, list[dict]]:
     """Every cross-module identity at one index m (>= 2)."""
     (m,) = payload
@@ -350,7 +346,13 @@ def _check_identities(payload: tuple[int]) -> tuple[int, list[dict]]:
     prof = plumbing.profile(m)
 
     def run(kind: str, fn: Callable[[], bool | None]) -> None:
-        _run_identity(out, m, kind, fn)
+        # an identity "fails" either by returning False or by raising
+        try:
+            detail = "identity evaluated to False" if fn() is False else None
+        except Exception as exc:  # noqa: BLE001 - failures become report entries
+            detail = f"raised {type(exc).__name__}: {exc}"
+        if detail:
+            out.append({"m": m, "kind": kind, "detail": detail})
 
     run("nu2_sigma_law", lambda: nu2(prof.sigma) == 2 * m + 1 + nu2(prof.a))
     run("s_closed_forms", lambda: genera.s(m) is not None)

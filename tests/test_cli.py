@@ -348,6 +348,14 @@ class TestBadCheckpoint:
             ("cursor", 31),
             ("counterexamples", "x"),
             ("counterexamples", [1]),
+            ("counterexamples", [{"m": None, "kind": "odd_part"}]),
+            ("counterexamples", [{"m": "x", "kind": "odd_part"}]),
+            ("counterexamples", [{"kind": "odd_part"}]),
+            ("counterexamples", [{"m": 32, "kind": "odd_part"}]),
+            ("counterexamples", [{"m": 1, "kind": "odd_part"}]),
+            ("counterexamples", [{"m": True, "kind": "odd_part"}]),
+            ("counterexamples", [{"m": 10, "kind": 3}]),
+            ("counterexamples", [{"m": 10}]),
         ],
         ids=[
             "cursor_str",
@@ -358,6 +366,14 @@ class TestBadCheckpoint:
             "cursor_past_max",
             "witnesses_str",
             "witness_int",
+            "witness_m_null",
+            "witness_m_str",
+            "witness_m_missing",
+            "witness_m_past_cursor",
+            "witness_m_below_2",
+            "witness_m_bool",
+            "witness_kind_int",
+            "witness_kind_missing",
         ],
     )
     def test_malformed_field(self, capsys, tmp_path, field, value):
@@ -370,6 +386,31 @@ class TestBadCheckpoint:
         assert code == 1
         assert out == ""
         assert err.startswith("error:")
+
+    def test_witness_past_the_cursor_fails_before_the_scan(self, capsys, tmp_path, monkeypatch):
+        ckpt = tmp_path / "c.json"
+        assert self.verify_with_checkpoint(capsys, ckpt)[0] == 0
+        data = json.loads(ckpt.read_text())
+        data["cursor"], data["counterexamples"] = 10, [{"m": 20, "kind": "odd_part"}]
+        ckpt.write_text(json.dumps(data))
+
+        def no_scan(payload):
+            raise AssertionError("the scan ran before the checkpoint was validated")
+
+        monkeypatch.setattr(verify, "_check_gcd_power_of_two", no_scan)
+        code, out, err = self.verify_with_checkpoint(capsys, ckpt)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
+
+    def test_saved_witness_is_reported(self, capsys, tmp_path):
+        ckpt = tmp_path / "c.json"
+        assert self.verify_with_checkpoint(capsys, ckpt)[0] == 0
+        data = json.loads(ckpt.read_text())
+        data["counterexamples"] = [{"m": 10, "kind": "odd_part"}]
+        ckpt.write_text(json.dumps(data))
+        code, out, err = self.verify_with_checkpoint(capsys, ckpt)
+        assert (code, err) == (2, "")
+        assert json.loads(out)["counterexamples"] == [{"m": "10", "kind": "odd_part"}]
 
 
 def test_sigterm_saves_the_checkpoint(capsys, tmp_path, monkeypatch):
