@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 __all__ = [
     "BezoutPair",
@@ -20,6 +21,7 @@ __all__ = [
     "padic_valuation",
     "nu2",
     "odd_part",
+    "gcd_with_square",
 ]
 
 
@@ -132,3 +134,14 @@ def odd_part(n: int) -> int:
     if n == 0:
         raise ValueError("0 has no odd part")
     return abs(n) >> nu2(n)
+
+
+def gcd_with_square(a: int, b: int) -> tuple[int, int]:
+    """``(e, odd)`` with ``gcd(a, b**2) == 2**e * odd``, ``odd`` odd, for nonzero ``a, b``;
+    ``e`` is read off the integers and ``b`` is squared only if the odd parts share a factor."""
+    nu_a, nu_b = nu2(a), nu2(b)
+    a, b = a >> nu_a, b >> nu_b
+    odd = gcd(a, b)
+    if odd != 1:
+        odd = gcd(a, b * b)
+    return min(nu_a, 2 * nu_b), odd

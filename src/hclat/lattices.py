@@ -19,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, gcd
+from math import factorial
 
 from .bernoulli import bernoulli_abs, tangent_number
-from .exact import BezoutPair, nu2
+from .exact import BezoutPair, gcd_with_square, nu2
 from .plumbing import lambda_k, profile, require_bezout_for
 
 __all__ = [
@@ -245,11 +245,10 @@ def minimal_signature(m: int, ord: OrdParameter | int = 1) -> tuple[int, int | N
         return profile(m).sigma, None
     half = profile(m // 2)
     i_m = min(0, nu2(ord.value) - 2 * nu2(m) - 4 + 2 * nu2(half.a))
-    g = gcd(profile(m).sigma, half.sigma ** 2)
-    value = g >> (-i_m)
-    if value << (-i_m) != g:
+    nu, odd = gcd_with_square(profile(m).sigma, half.sigma)
+    if nu + i_m < 0:
         raise RuntimeError(f"2^{i_m} gcd(...) is not an integer at m={m}")
-    return value, i_m
+    return odd << (nu + i_m), i_m
 
 
 def minimal_ahat(m: int) -> int:
@@ -258,7 +257,8 @@ def minimal_ahat(m: int) -> int:
         raise ValueError("m must be >= 2")
     if m % 2:
         return 2 * profile(m).num4
-    return gcd(profile(m).num4, profile(m // 2).num4 ** 2)
+    nu, odd = gcd_with_square(profile(m).num4, profile(m // 2).num4)
+    return odd << nu
 
 
 def signature_divisibility_bound(m: int) -> int:

@@ -13,13 +13,11 @@ Three claims are scanned over ranges of the dimension parameter m:
 
 Failures are report entries, never exceptions.  The Bernoulli stream is
 produced once by the parent from ``bernoulli.record_range``, which keeps
-one column, not the library's memo; per-index check work can be spread
-over a process pool without changing any report content.  Only the checks
-are spread, not the stream, so ``workers`` pays for ``identity-suite`` and
-not for the two prefix scans, whose cost is the serial stream.  The pool is fed
-in chunks of a few payloads with at most ``2 * workers + 1`` chunks in flight,
-so the stream, the results and the checkpoint saves advance together and
-memory stays bounded.  Checkpoints persist the scan cursor and the
+one column, not the library's memo.  The two prefix scans check each record
+in the parent as it streams: their cost is the serial stream, which a pool of
+checkers cannot shorten.  ``identity-suite`` has no stream, and its per-index
+checks go to a process pool of up to ``workers`` processes without changing
+any report content.  Checkpoints persist the scan cursor and the
 counterexamples found so far, not Bernoulli data, every 50 checked indices
 and on exit; a resumed run recomputes the (cheap relative to disk) stream
 and skips only the check work already done.
@@ -33,19 +31,17 @@ import random
 import signal
 import sys
 import time
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import islice
 from math import factorial, gcd
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from . import bundles, genera, lattices, plumbing
 from .bernoulli import record_range
-from .exact import nu2
+from .exact import gcd_with_square, nu2
 
 __all__ = [
     "VerificationReport",
@@ -136,7 +132,10 @@ class _Checkpoint:
         if not self.path.exists():
             return 0, []
         allow_big_str()
-        data = json.loads(self.path.read_text())
+        try:
+            data = json.loads(self.path.read_text())
+        except RecursionError:
+            raise ValueError(f"checkpoint {self.path} nests JSON too deeply to be read") from None
         if not isinstance(data, dict):
             raise ValueError(f"checkpoint {self.path} does not hold a JSON object")
         if data.get("header") != self.header:
@@ -153,14 +152,18 @@ class _Checkpoint:
         m_max = self.header["m_max"]
         if not 0 <= cursor <= m_max:
             raise ValueError(f"checkpoint {self.path} has cursor {cursor} outside 0..{m_max}")
-        # every witness a check yields has an index the cursor has passed and a kind
+        # every witness a check yields has an index the cursor has passed, a kind, and
+        # only int and str values, so no nesting can overflow the report's encoder
         if not all(
-            type(w.get("m")) is int and 2 <= w["m"] <= cursor and isinstance(w.get("kind"), str)
+            type(w.get("m")) is int
+            and 2 <= w["m"] <= cursor
+            and isinstance(w.get("kind"), str)
+            and all(isinstance(v, (int, str)) for v in w.values())
             for w in found
         ):
             raise ValueError(
                 f"checkpoint {self.path} has a counterexample without an int m in "
-                f"2..{cursor} and a str kind"
+                f"2..{cursor}, a str kind and only int and str values"
             )
         return cursor, found
 
@@ -182,12 +185,6 @@ def _leave_interrupts_to_the_parent() -> None:
     for sig in (signal.SIGINT, signal.SIGTERM):
         if signal.getsignal(sig) is signal.default_int_handler:
             signal.signal(sig, signal.SIG_IGN)
-
-
-def _check_chunk(
-    check: Callable[[tuple], tuple[int, list[dict]]], chunk: list[tuple]
-) -> list[tuple[int, list[dict]]]:
-    return [check(payload) for payload in chunk]
 
 
 def _run_scan(
@@ -224,15 +221,8 @@ def _run_scan(
             yield from map(check, todo)
             return
         with ProcessPoolExecutor(workers, initializer=_leave_interrupts_to_the_parent) as pool:
-            # tasks of 8 payloads, at most 2 * workers + 1 in flight, so the
-            # stream is drawn only a little ahead of the results taken
-            pending = deque()
-            for chunk in iter(lambda: list(islice(todo, 8)), []):
-                pending.append(pool.submit(_check_chunk, check, chunk))
-                if len(pending) > 2 * workers:
-                    yield from pending.popleft().result()
-            while pending:
-                yield from pending.popleft().result()
+            # closing this iterator on an interrupt cancels the tasks not yet started
+            yield from pool.map(check, todo, chunksize=8)
 
     try:
         for checked, (m, found) in enumerate(results(), 1):
@@ -276,15 +266,7 @@ def _even_m_payloads(m_max: int) -> Iterator[tuple[int, int, int]]:
 
 def _check_gcd_power_of_two(payload: tuple[int, int, int]) -> tuple[int, list[dict]]:
     m, num4_m, num4_half = payload
-    a, b = plumbing.sigma_m(m, num4_m), plumbing.sigma_m(m // 2, num4_half)
-    # gcd(a, b^2) = 2^min(nu2 a, 2 nu2 b) * gcd(odd a, (odd b)^2), the 2-adic part
-    # read off the integers; the square is formed only when the odd parts share a factor
-    nu_a, nu_b = nu2(a), nu2(b)
-    nu = min(nu_a, 2 * nu_b)
-    a, b = a >> nu_a, b >> nu_b
-    odd = gcd(a, b)
-    if odd != 1:
-        odd = gcd(a, b**2)
+    nu, odd = gcd_with_square(plumbing.sigma_m(m, num4_m), plumbing.sigma_m(m // 2, num4_half))
     found = []
     if odd != 1:
         found.append({"m": m, "kind": "odd_part", "gcd_nu2": nu, "gcd_odd_part": odd})
@@ -295,10 +277,9 @@ def _check_gcd_power_of_two(payload: tuple[int, int, int]) -> tuple[int, list[di
 
 def _check_numerator_coprimality(payload: tuple[int, int, int]) -> tuple[int, list[dict]]:
     m, num4_m, num4_half = payload
-    # gcd(a, b^2) = 1 iff gcd(a, b) = 1; the square is formed only for a witness
-    if gcd(num4_m, num4_half) == 1:
-        return m, []
-    return m, [{"m": m, "kind": "common_factor", "gcd": gcd(num4_m, num4_half**2)}]
+    nu, odd = gcd_with_square(num4_m, num4_half)
+    g = odd << nu
+    return m, [] if g == 1 else [{"m": m, "kind": "common_factor", "gcd": g}]
 
 
 def verify_gcd_power_of_two(
@@ -315,7 +296,8 @@ def verify_gcd_power_of_two(
         _even_m_payloads(m_max),
         _check_gcd_power_of_two,
         params={"ord_policy": "not-involved"},
-        workers=workers,
+        # a pool of checkers cannot shorten the serial stream; below 1 is still rejected
+        workers=min(workers, 1),
         checkpoint_path=checkpoint_path,
     )
 
@@ -334,7 +316,8 @@ def verify_numerator_coprimality(
         _even_m_payloads(m_max),
         _check_numerator_coprimality,
         params={"ord_policy": "not-involved"},
-        workers=workers,
+        # a pool of checkers cannot shorten the serial stream; below 1 is still rejected
+        workers=min(workers, 1),
         checkpoint_path=checkpoint_path,
     )
 

@@ -189,7 +189,8 @@ class TestErrorHandling:
         assert main(["bernoulli"]) == 1
 
     def test_workers_below_one_is_exit_1(self, capsys):
-        assert main(["verify", "gcd-power-of-two", "--max", "10", "--workers", "0"]) == 1
+        for claim in verify.CLAIMS:
+            assert main(["verify", claim, "--max", "10", "--workers", "0"]) == 1
 
 
 # exact stdout bytes: key order, indentation and number formatting are all part
@@ -329,9 +330,12 @@ class TestBadCheckpoint:
         assert out == ""
         assert err.startswith("error:")
 
-    def test_file_holding_a_list(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "text", ["[]", "[" * 200000 + "]" * 200000], ids=["empty", "nested_200000_deep"]
+    )
+    def test_file_holding_a_list(self, capsys, tmp_path, text):
         ckpt = tmp_path / "c.json"
-        ckpt.write_text("[]")
+        ckpt.write_text(text)
         code, out, err = self.verify_with_checkpoint(capsys, ckpt)
         assert code == 1
         assert out == ""
@@ -356,6 +360,7 @@ class TestBadCheckpoint:
             ("counterexamples", [{"m": True, "kind": "odd_part"}]),
             ("counterexamples", [{"m": 10, "kind": 3}]),
             ("counterexamples", [{"m": 10}]),
+            ("counterexamples", [{"m": 10, "kind": "odd_part", "gcd": [[1]]}]),
         ],
         ids=[
             "cursor_str",
@@ -374,6 +379,7 @@ class TestBadCheckpoint:
             "witness_m_bool",
             "witness_kind_int",
             "witness_kind_missing",
+            "witness_value_list",
         ],
     )
     def test_malformed_field(self, capsys, tmp_path, field, value):
@@ -449,8 +455,8 @@ def test_interrupt_without_checkpoint_exits_cleanly(capsys, monkeypatch):
 
 
 @cache
-def _uninterrupted_coprimality(m_max: int) -> str:
-    return verify.verify_numerator_coprimality(m_max).to_json(include_wall_time=False)
+def _uninterrupted_identity_suite(m_max: int) -> str:
+    return verify.verify_identity_suite(m_max).to_json(include_wall_time=False)
 
 
 def _saved_cursor(ckpt: Path) -> int:
@@ -496,19 +502,17 @@ def _signal_group_mid_scan(ckpt: Path, signum: int, *argv: str, capture: bool = 
 def test_group_signal_with_workers_prints_one_line(tmp_path, signum):
     # a signal to the whole process group, as Ctrl-C in a terminal sends, reaches
     # the pool workers too; only the parent may report it
-    ckpt, m_max = tmp_path / "scan.json", 1000
-    argv = ["verify", "numerator-coprimality", "--max", str(m_max), "--workers", "2"]
+    ckpt, m_max = tmp_path / "scan.json", 300
+    argv = ["verify", "identity-suite", "--max", str(m_max), "--workers", "2"]
     proc, out, err = _signal_group_mid_scan(
         ckpt, signum, "-m", "hclat.cli", *argv, "--checkpoint", str(ckpt)
     )
     assert proc.returncode == 1
     assert out == ""
-    assert err == (
-        f"interrupted: numerator-coprimality scan stopped; checkpoint saved to {ckpt}\n"
-    )
+    assert err == f"interrupted: identity-suite scan stopped; checkpoint saved to {ckpt}\n"
     assert 0 < _saved_cursor(ckpt) < m_max
-    resumed = verify.verify_numerator_coprimality(m_max, workers=2, checkpoint_path=ckpt)
-    assert resumed.to_json(include_wall_time=False) == _uninterrupted_coprimality(m_max)
+    resumed = verify.verify_identity_suite(m_max, workers=2, checkpoint_path=ckpt)
+    assert resumed.to_json(include_wall_time=False) == _uninterrupted_identity_suite(m_max)
 
 
 def _live_processes_in_group(pgid: int) -> list[str]:
@@ -530,8 +534,8 @@ def test_group_sigterm_outside_the_cli_ends_the_workers(tmp_path):
     # ignored it would wait on the pool's call queue forever
     ckpt = tmp_path / "scan.json"
     scan = (
-        "from hclat.verify import verify_numerator_coprimality as scan; "
-        f"scan(3000, workers=2, checkpoint_path={str(ckpt)!r})"
+        "from hclat.verify import verify_identity_suite as scan; "
+        f"scan(1000, workers=2, checkpoint_path={str(ckpt)!r})"
     )
     proc, _, _ = _signal_group_mid_scan(ckpt, signal.SIGTERM, "-c", scan, capture=False)
     assert proc.returncode == -signal.SIGTERM

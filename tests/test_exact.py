@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from hclat.exact import (
     BezoutPair,
     extended_gcd,
+    gcd_with_square,
     normalize_bezout,
     nu2,
     odd_part,
@@ -131,3 +132,24 @@ def test_helpers():
     assert odd_part(-40) == 5
     with pytest.raises(ValueError):
         odd_part(0)
+
+
+def test_gcd_with_square_matches_full_gcd():
+    rng = random.Random(1339)
+    seen = set()
+    for i in range(600):
+        a, b = rng.getrandbits(64) | 1, rng.getrandbits(64) | 1
+        p = rng.choice([3, 5, 691, 34511])
+        if i % 4 == 1:  # a shared odd factor
+            a, b = a * p, b * p
+        elif i % 4 == 2:  # a power of p in a that only the square of b reaches
+            a, b = a * p ** rng.randint(2, 3), b * p
+        a <<= rng.randint(0, 9)
+        b <<= rng.randint(0, 5)
+        if rng.random() < 0.5:
+            a = -a
+        e, odd = gcd_with_square(a, b)
+        assert odd % 2 == 1
+        assert odd << e == math.gcd(a, b * b)
+        seen.add((e > 0, odd > 1))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}

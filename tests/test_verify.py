@@ -1,7 +1,6 @@
 import json
 import os
 import random
-from concurrent.futures import Future
 from math import gcd
 
 import pytest
@@ -152,23 +151,32 @@ class TestReportMechanics:
             def __exit__(self, *exc):
                 return False
 
-            def submit(self, fn, *args):
-                done = Future()
-                done.set_result(fn(*args))
-                return done
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
 
         monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
-        report = verify_gcd_power_of_two(40, workers=os.cpu_count() + 1)
+        report = verify_identity_suite(12, workers=os.cpu_count() + 1)
         assert requested == [2]
-        assert report.to_json(include_wall_time=False) == verify_gcd_power_of_two(40).to_json(
+        assert report.to_json(include_wall_time=False) == verify_identity_suite(12).to_json(
+            include_wall_time=False
+        )
+
+    @pytest.mark.parametrize("scan", [verify_gcd_power_of_two, verify_numerator_coprimality])
+    def test_prefix_scans_start_no_pool(self, monkeypatch, scan):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a prefix scan started a process pool")
+
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", no_pool)
+        assert scan(80, workers=2).to_json(include_wall_time=False) == scan(80).to_json(
             include_wall_time=False
         )
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_workers_below_one_rejected(self, workers):
-        with pytest.raises(ValueError):
-            verify_gcd_power_of_two(40, workers=workers)
+        for scan in verify.CLAIMS.values():
+            with pytest.raises(ValueError):
+                scan(40, workers=workers)
 
     def test_interrupt_leaves_last_cursor_on_disk(self, tmp_path, monkeypatch):
         ckpt = tmp_path / "scan.json"
@@ -202,8 +210,9 @@ class TestReportMechanics:
         monkeypatch.setattr(verify, "record_range", interrupted_at_600)
         with pytest.raises(KeyboardInterrupt):
             verify_numerator_coprimality(1200, workers=2, checkpoint_path=ckpt)
-        # the pool draws the stream only a few chunks ahead of the results
-        assert json.loads(ckpt.read_text())["cursor"] >= 400
+        # the records are checked in the parent as they stream, whatever workers says,
+        # so the last even index before the interrupted record is on disk
+        assert json.loads(ckpt.read_text())["cursor"] == 598
         monkeypatch.undo()
         resumed = verify_numerator_coprimality(1200, workers=2, checkpoint_path=ckpt)
         assert resumed.to_json(include_wall_time=False) == verify_numerator_coprimality(
@@ -223,6 +232,10 @@ class TestReportMechanics:
         verify_gcd_power_of_two(300, workers=workers, checkpoint_path=tmp_path / "scan.json")
         # 150 even indices: the early save, one per 50 checked, and the final one
         assert saved == [0, 100, 200, 300, 300]
+        saved.clear()
+        # with two workers the only scan that checks in a pool
+        verify_identity_suite(101, workers=workers, checkpoint_path=tmp_path / "ident.json")
+        assert saved == [0, 51, 101, 101]
 
     def test_resuming_finished_scan_is_stable(self, tmp_path):
         ckpt = tmp_path / "scan.json"
