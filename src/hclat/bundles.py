@@ -114,8 +114,7 @@ def kappa_basis(
     if m % 2:
         return [KappaExpression(Fraction(1, 2 * factorial(2 * m - 1) * prof.j), Fraction(0))]
     k = m // 2
-    bezout = bezout or prof.bezout
-    require_bezout_for(m, bezout)
+    bezout = require_bezout_for(m, bezout)
     f2k = factorial(2 * k - 1)
     f4k = factorial(4 * k - 1)
     pk = profile(k)

@@ -2,10 +2,9 @@
 
 Integers are plain Python ints (arbitrary precision), rationals are
 ``fractions.Fraction`` (always stored reduced, denominator positive).
-Everything downstream is built on the three operations here: the
-extended Euclidean algorithm, normalized Bezout pairs for a coprime
-numerator/denominator, and p-adic valuations.  No rounding happens
-anywhere in this package.
+Everything downstream is built on the operations here: normalized
+Bezout pairs for a coprime numerator/denominator, and p-adic valuations.
+No rounding happens anywhere in this package.
 """
 
 from __future__ import annotations
@@ -16,33 +15,12 @@ from math import gcd
 
 __all__ = [
     "BezoutPair",
-    "extended_gcd",
     "normalize_bezout",
     "padic_valuation",
     "nu2",
     "odd_part",
     "gcd_with_square",
 ]
-
-
-def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return ``(g, x, y)`` with ``a*x + b*y == g == gcd(|a|, |b|) > 0``.
-
-    Raises ValueError if both arguments are zero.
-    """
-    if a == 0 and b == 0:
-        raise ValueError("extended_gcd(0, 0) is undefined")
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
 
 
 @dataclass(frozen=True)
@@ -93,10 +71,10 @@ def normalize_bezout(num: int, denom: int) -> BezoutPair:
     """
     if num <= 0 or denom <= 0:
         raise ValueError("num and denom must be positive")
-    g, _, y = extended_gcd(num, denom)
+    g = gcd(num, denom)
     if g != 1:
         raise ValueError(f"inputs not coprime: gcd({num}, {denom}) = {g}")
-    d = y % num
+    d = pow(denom, -1, num)
     c = (1 - d * denom) // num
     return BezoutPair(c, d, num, denom)
 

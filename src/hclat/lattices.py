@@ -194,8 +194,7 @@ def generator_invariants(
 
     k = m // 2
     pk = profile(k)
-    bezout = bezout or prof.bezout
-    require_bezout_for(m, bezout)
+    bezout = require_bezout_for(m, bezout)
     c, d = bezout.c, bezout.d
     f2k = factorial(2 * k - 1)
     f4k = factorial(4 * k - 1)

@@ -60,7 +60,8 @@ def sigma_over_a(m: int, num4: int = 1) -> int:
 
 
 def sigma_m(m: int, num4: int) -> int:
-    """``sigma_m`` from m and ``num4`` alone, for pool workers that hold no profile."""
+    """``sigma_m`` from m and ``num4`` alone, for the scans, whose record stream
+    leaves the Bernoulli memo and the profiles empty."""
     return a_m(m) * sigma_over_a(m, num4)
 
 
@@ -103,15 +104,19 @@ def canonical_bezout(m: int) -> BezoutPair:
     return profile(m).bezout
 
 
-def require_bezout_for(m: int, bezout: BezoutPair) -> None:
-    """Raise ValueError unless ``bezout`` is a pair for the reduced ``|B_{2m}|/4m``."""
+def require_bezout_for(m: int, bezout: BezoutPair | None = None) -> BezoutPair:
+    """``bezout`` (the canonical pair when None); ValueError unless it is a pair
+    for the reduced ``|B_{2m}|/4m``."""
     prof = profile(m)
+    if bezout is None:
+        return prof.bezout
     if bezout.for_numerator != prof.num4 or bezout.for_denominator != prof.j:
         raise ValueError(
             f"Bezout pair is for ({bezout.for_numerator}, {bezout.for_denominator}), "
             f"expected the numerator/denominator ({prof.num4}, {prof.j}) "
             f"of |B_{2 * m}|/{4 * m}"
         )
+    return bezout
 
 
 def bp_order(m: int) -> int:
@@ -177,7 +182,7 @@ def s_of_Q(m: int, bezout: BezoutPair | None = None) -> int:
     if m % 2:
         return 0
     k = m // 2
-    first, second = s_of_Q_formulas(k, bezout or profile(m).bezout)
+    first, second = s_of_Q_formulas(k, require_bezout_for(m, bezout))
     if first != second:
         raise RuntimeError(
             f"the two formulas for s(Q) disagree at k={k}: {first} != {second}"

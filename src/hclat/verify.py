@@ -150,8 +150,9 @@ class _Checkpoint:
         ):
             raise ValueError(f"checkpoint {self.path} needs an int cursor and a list of objects")
         m_max = self.header["m_max"]
-        if not 0 <= cursor <= m_max:
-            raise ValueError(f"checkpoint {self.path} has cursor {cursor} outside 0..{m_max}")
+        # every index is >= 2, so a scan saves no cursor of 1
+        if not (cursor == 0 or 2 <= cursor <= m_max):
+            raise ValueError(f"checkpoint {self.path} has cursor {cursor}, not 0 or in 2..{m_max}")
         # every witness a check yields has an index the cursor has passed, a kind, and
         # only int and str values, so no nesting can overflow the report's encoder
         if not all(
@@ -208,7 +209,7 @@ def _run_scan(
     workers = min(workers, os.cpu_count() or 1)
     t0 = time.monotonic()
     header = {"claim": claim, "m_min": 2, "m_max": m_max, "params": to_jsonable(params)}
-    ckpt = _Checkpoint(checkpoint_path, header) if checkpoint_path else None
+    ckpt = _Checkpoint(checkpoint_path, header) if checkpoint_path is not None else None
     cursor, witnesses = ckpt.load() if ckpt else (0, [])
     if ckpt:
         # fail on an unwritable path now, not after the whole scan
@@ -282,23 +283,32 @@ def _check_numerator_coprimality(payload: tuple[int, int, int]) -> tuple[int, li
     return m, [] if g == 1 else [{"m": m, "kind": "common_factor", "gcd": g}]
 
 
+def _prefix_scan(
+    claim: str, m_max: int, check: Callable, workers: int, checkpoint_path: str | Path | None
+) -> VerificationReport:
+    """One of the two scans over even m that check each record as it streams."""
+    if m_max < 2:
+        raise ValueError("m_max must be >= 2")
+    return _run_scan(
+        claim,
+        m_max,
+        _even_m_payloads(m_max),
+        check,
+        params={"ord_policy": "not-involved"},
+        # a pool of checkers cannot shorten the serial stream; below 1 is still rejected
+        workers=min(workers, 1),
+        checkpoint_path=checkpoint_path,
+    )
+
+
 def verify_gcd_power_of_two(
     m_max: int,
     workers: int = 1,
     checkpoint_path: str | Path | None = None,
 ) -> VerificationReport:
     """Check that gcd(sigma_m, sigma_{m/2}^2) is a power of 2 for even m <= m_max."""
-    if m_max < 2:
-        raise ValueError("m_max must be >= 2")
-    return _run_scan(
-        "gcd-power-of-two",
-        m_max,
-        _even_m_payloads(m_max),
-        _check_gcd_power_of_two,
-        params={"ord_policy": "not-involved"},
-        # a pool of checkers cannot shorten the serial stream; below 1 is still rejected
-        workers=min(workers, 1),
-        checkpoint_path=checkpoint_path,
+    return _prefix_scan(
+        "gcd-power-of-two", m_max, _check_gcd_power_of_two, workers, checkpoint_path
     )
 
 
@@ -308,17 +318,8 @@ def verify_numerator_coprimality(
     checkpoint_path: str | Path | None = None,
 ) -> VerificationReport:
     """Check gcd(num(|B_{2m}|/4m), num(|B_m|/2m)^2) = 1 for even m <= m_max."""
-    if m_max < 2:
-        raise ValueError("m_max must be >= 2")
-    return _run_scan(
-        "numerator-coprimality",
-        m_max,
-        _even_m_payloads(m_max),
-        _check_numerator_coprimality,
-        params={"ord_policy": "not-involved"},
-        # a pool of checkers cannot shorten the serial stream; below 1 is still rejected
-        workers=min(workers, 1),
-        checkpoint_path=checkpoint_path,
+    return _prefix_scan(
+        "numerator-coprimality", m_max, _check_numerator_coprimality, workers, checkpoint_path
     )
 
 
@@ -328,26 +329,29 @@ def _check_identities(payload: tuple[int]) -> tuple[int, list[dict]]:
     out: list[dict] = []
     prof = plumbing.profile(m)
 
-    def run(kind: str, fn: Callable[[], bool | None]) -> None:
-        # an identity "fails" either by returning False or by raising
+    def run(kind: str, fn: Callable[[], object]) -> object:
+        # an identity "fails" either by returning False or by raising; its value
+        # goes back to the caller, None when it raised
+        value = None
         try:
-            detail = "identity evaluated to False" if fn() is False else None
+            value = fn()
+            detail = "identity evaluated to False" if value is False else None
         except Exception as exc:  # noqa: BLE001 - failures become report entries
             detail = f"raised {type(exc).__name__}: {exc}"
         if detail:
             out.append({"m": m, "kind": kind, "detail": detail})
+        return value
 
     run("nu2_sigma_law", lambda: nu2(prof.sigma) == 2 * m + 1 + nu2(prof.a))
     run("s_closed_forms", lambda: genera.s(m) is not None)
-    canonical = plumbing.canonical_bezout(m)
     run(
         "stolz_no_p_top",
-        lambda: genera.stolz_class_coeffs(m, canonical).coeff_p_top == 0,
+        lambda: genera.stolz_class_coeffs(m, prof.bezout).coeff_p_top == 0,
     )
     if m % 2:
         run(
             "stolz_odd_vanishes",
-            lambda: genera.stolz_class_coeffs(m, canonical).coeff_p_half_sq == 0,
+            lambda: genera.stolz_class_coeffs(m, prof.bezout).coeff_p_half_sq == 0,
         )
 
     # one build per basis; a raise is not cached, so each identity still reports it
@@ -416,14 +420,7 @@ def _check_identities(payload: tuple[int]) -> tuple[int, list[dict]]:
     if m % 2 == 0:
         k = m // 2
         prof_k = plumbing.profile(k)
-        s_q = None
-
-        def s_of_q_integral() -> bool:
-            nonlocal s_q
-            s_q = plumbing.s_of_Q(m)
-            return True
-
-        run("s_of_Q_both_formulas", s_of_q_integral)
+        s_q = run("s_of_Q_both_formulas", lambda: plumbing.s_of_Q(m))
         if s_q is not None:
             # j_k^2 s(Q) + lambda_k^2 sigma_k^2/8 is the representative term,
             # an exact integer multiple of sigma_{2k}/8
@@ -438,7 +435,7 @@ def _check_identities(payload: tuple[int]) -> tuple[int, list[dict]]:
                 order = plumbing.bp_order(m)
                 base_gcd = gcd(prof.sigma, 8 * abs(s_q))
                 for t in (-2, -1, 1, 2):
-                    shifted = canonical.shifted(t)
+                    shifted = prof.bezout.shifted(t)
                     s_t = plumbing.s_of_Q(m, shifted)
                     if (s_t - s_q) % order:
                         return False
@@ -454,7 +451,7 @@ def _check_identities(payload: tuple[int]) -> tuple[int, list[dict]]:
             run("bezout_robustness", bezout_robustness)
 
         def proof_identity_first() -> bool:
-            c, d = canonical.c, canonical.d
+            c, d = prof.bezout.c, prof.bezout.d
             lhs = genera.s(m) / 2
             rhs = Fraction(prof.sigma * d, 2 * factorial(2 * m - 1)) - Fraction(
                 prof.sigma * c, 1
@@ -464,7 +461,7 @@ def _check_identities(payload: tuple[int]) -> tuple[int, list[dict]]:
         run("half_s_identity", proof_identity_first)
 
         def proof_identity_second() -> bool:
-            c, d = canonical.c, canonical.d
+            c, d = prof.bezout.c, prof.bezout.d
             return prof.sigma * c == plumbing.sigma_over_a(m) * (1 - prof.j * d)
 
         run("sigma_c_identity", proof_identity_second)

@@ -5,7 +5,9 @@ the defining binomial recurrence and tangent numbers from inverting their
 definition against those Bernoulli values, or from Seidel's boustrophedon
 triangle, the reference the tangent engine is compared against.  Lattice
 spans are compared through a general Hermite normal form, the reference
-for the rank-<=2 membership test in ``hclat.lattices``.
+for the rank-<=2 membership test in ``hclat.lattices``, and Bezout
+pairs through the extended Euclidean algorithm, the reference for
+``hclat.exact.normalize_bezout``.
 """
 
 from fractions import Fraction
@@ -86,3 +88,23 @@ def hermite_normal_form(vectors) -> tuple[tuple[int, ...], ...]:
         if r == len(rows):
             break
     return tuple(tuple(row) for row in rows[:r] if any(row))
+
+
+def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """Return ``(g, x, y)`` with ``a*x + b*y == g == gcd(|a|, |b|) > 0``.
+
+    Raises ValueError if both arguments are zero.
+    """
+    if a == 0 and b == 0:
+        raise ValueError("extended_gcd(0, 0) is undefined")
+    old_r, r = a, b
+    old_x, x = 1, 0
+    old_y, y = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_x, x = x, old_x - q * x
+        old_y, y = y, old_y - q * y
+    if old_r < 0:
+        old_r, old_x, old_y = -old_r, -old_x, -old_y
+    return old_r, old_x, old_y

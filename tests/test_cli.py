@@ -330,6 +330,17 @@ class TestBadCheckpoint:
         assert out == ""
         assert err.startswith("error:")
 
+    def test_empty_path_fails_before_the_scan(self, capsys, monkeypatch):
+        def no_scan(payload):
+            raise AssertionError("the scan ran with an empty checkpoint path")
+
+        monkeypatch.setattr(verify, "_check_gcd_power_of_two", no_scan)
+        code, out, err = self.verify_with_checkpoint(capsys, "")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "text", ["[]", "[" * 200000 + "]" * 200000], ids=["empty", "nested_200000_deep"]
     )
@@ -350,6 +361,7 @@ class TestBadCheckpoint:
             ("cursor", True),
             ("cursor", -2),
             ("cursor", 31),
+            ("cursor", 1),
             ("counterexamples", "x"),
             ("counterexamples", [1]),
             ("counterexamples", [{"m": None, "kind": "odd_part"}]),
@@ -369,6 +381,7 @@ class TestBadCheckpoint:
             "cursor_bool",
             "cursor_negative",
             "cursor_past_max",
+            "cursor_one",
             "witnesses_str",
             "witness_int",
             "witness_m_null",

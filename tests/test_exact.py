@@ -5,15 +5,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from hclat.bernoulli import bernoulli_record
 from hclat.exact import (
     BezoutPair,
-    extended_gcd,
     gcd_with_square,
     normalize_bezout,
     nu2,
     odd_part,
     padic_valuation,
 )
+from oracles import extended_gcd
 
 
 class TestExtendedGcd:
@@ -55,6 +56,7 @@ class TestNormalizeBezout:
     def test_numerator_one_forces_d_zero(self):
         assert normalize_bezout(1, 240) == BezoutPair(1, 0, 1, 240)
         assert normalize_bezout(1, 24) == BezoutPair(1, 0, 1, 24)
+        assert normalize_bezout(1, 1) == BezoutPair(1, 0, 1, 1)
 
     def test_bernoulli_pair_is_in_range(self):
         pair = normalize_bezout(691, 65520)
@@ -85,6 +87,50 @@ class TestNormalizeBezout:
         pair = normalize_bezout(num, denom)
         assert 0 <= pair.d < num
         assert pair.c * num + pair.d * denom == 1
+
+
+def _oracle_pair(num: int, denom: int) -> BezoutPair:
+    """The normalized pair built from the extended Euclidean oracle's ``y``."""
+    g, _, y = extended_gcd(num, denom)
+    assert g == 1
+    d = y % num
+    return BezoutPair((1 - d * denom) // num, d, num, denom)
+
+
+class TestNormalizeBezoutAgainstOracle:
+    def test_seeded_inputs(self):
+        rng = random.Random(1807)
+        coprime = 0
+        while coprime < 3000:
+            num = rng.getrandbits(rng.randint(1, 400)) + 1
+            denom = rng.getrandbits(rng.randint(1, 400)) + 1
+            g = extended_gcd(num, denom)[0]
+            if g == 1:
+                assert normalize_bezout(num, denom) == _oracle_pair(num, denom)
+                coprime += 1
+            else:
+                with pytest.raises(ValueError) as info:
+                    normalize_bezout(num, denom)
+                assert str(info.value) == f"inputs not coprime: gcd({num}, {denom}) = {g}"
+
+    @pytest.mark.parametrize(
+        "num, denom", [(1, 1), (1, 2), (1, 2**300 + 1), (2, 1), (691, 1), (10**40 + 1, 1)]
+    )
+    def test_unit_inputs(self, num, denom):
+        assert normalize_bezout(num, denom) == _oracle_pair(num, denom)
+
+    @pytest.mark.parametrize(
+        "num, denom, g", [(6, 4, 2), (4, 6, 2), (7, 7, 7), (2**80 * 3, 2**70 * 5, 2**70)]
+    )
+    def test_non_coprime_message(self, num, denom, g):
+        with pytest.raises(ValueError) as info:
+            normalize_bezout(num, denom)
+        assert str(info.value) == f"inputs not coprime: gcd({num}, {denom}) = {g}"
+
+    def test_every_bernoulli_pair_up_to_m_300(self):
+        for m in range(1, 301):
+            rec = bernoulli_record(m)
+            assert normalize_bezout(rec.num4, rec.j) == _oracle_pair(rec.num4, rec.j)
 
 
 class TestPadicValuation:

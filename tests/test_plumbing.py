@@ -15,6 +15,7 @@ from hclat.plumbing import (
     lambda_k,
     pk2_of_Q,
     profile,
+    require_bezout_for,
     s_of_Q,
     s_of_Q_formulas,
     stolz_s,
@@ -59,12 +60,31 @@ class TestProfile:
         s_of_Q,
         lambda m, b: generator_invariants(m, 1, "full_kernel", b),
         lambda m, b: kappa_basis(m, 1, b),
+        require_bezout_for,
     ],
-    ids=["stolz_class_coeffs", "s_of_Q", "generator_invariants", "kappa_basis"],
+    ids=[
+        "stolz_class_coeffs",
+        "s_of_Q",
+        "generator_invariants",
+        "kappa_basis",
+        "require_bezout_for",
+    ],
 )
 def test_bezout_pair_for_another_m_rejected(consumer):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         consumer(6, canonical_bezout(4))
+    assert str(info.value) == (
+        f"Bezout pair is for ({profile(4).num4}, {profile(4).j}), "
+        f"expected the numerator/denominator ({profile(6).num4}, {profile(6).j}) "
+        "of |B_12|/24"
+    )
+
+
+def test_require_bezout_for_defaults_to_the_profile_pair():
+    for m in range(1, 41):
+        assert require_bezout_for(m) is profile(m).bezout
+        shifted = profile(m).bezout.shifted(3)
+        assert require_bezout_for(m, shifted) is shifted
 
 
 @pytest.mark.parametrize("k,value", [(1, 2), (2, 2), (3, 1), (4, 1)])
