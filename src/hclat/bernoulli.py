@@ -2,11 +2,17 @@
 
 Tangent numbers ``T_n = 2^{2n}(2^{2n}-1)|B_{2n}|/2n`` are integers and are
 computed column by column with Brent and Harvey's TangentNumbers recurrence
-(arXiv:1108.0286).  With ``h_j[k]`` entry ``j`` after pass ``k`` of their
-in-place algorithm, ``h_j[1] = (j-1)!``, ``h_j[k] = (j-k) h_{j-1}[k] +
-(j-k+2) h_j[k-1]`` for ``2 <= k < j``, and ``T_j = h_j[j] = 2 h_j[j-1]``.
-Column ``j`` needs only column ``j-1``, so ``T_1..T_n`` cost ``O(n^2)``
-multiplications of a big integer by a small one and one column of memory.
+(arXiv:1108.0286).  Their in-place algorithm has ``h_j[1] = (j-1)!``,
+``h_j[k] = (j-k) h_{j-1}[k] + (j-k+2) h_j[k-1]`` for ``2 <= k < j`` and
+``T_j = h_j[j] = 2 h_j[j-1]``.  Column ``j`` is stored here as ``g_j[k] =
+h_j[k] / (j-k)!``; dividing the recurrence by ``(j-k)!`` gives, with
+``d = j-k``, ``g_j[1] = 1``, ``g_j[k] = g_{j-1}[k] + (d+1)(d+2) g_j[k-1]``
+and ``T_j = 2 g_j[j-1]``.  These coefficients are integers, so by induction
+on ``j`` and then ``k`` every ``g_j[k]`` is one: the divisions are exact and
+never performed.  An entry costs one multiplication of a big integer by a
+small one and one addition (``h`` needs two multiplications), and is smaller
+than ``h_j[k]`` by ``(j-k)!``.  Column ``j`` needs only column ``j-1``, so
+``T_1..T_n`` cost ``O(n^2)`` such steps and one column of memory.
 Point queries go through a process-wide memo that keeps every ``T_n`` and
 record; :func:`record_range`, which scans read once in order, keeps nothing.
 
@@ -29,7 +35,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterator
 
 from .exact import nu2, padic_valuation
@@ -62,20 +68,22 @@ class BernoulliRecord:
 
 
 def _tangents() -> Iterator[int]:
-    """Yield ``T_1, T_2, ...`` forever, holding only the newest column ``h_j[1..j]``."""
-    column = [1]  # column[k-1] = h_j[k] for the newest j
+    """Yield ``T_1, T_2, ...`` forever, holding only the newest column ``g_j[1..j]``
+    of the scaled recurrence above: one small multiply and one add per entry."""
+    column = [1]  # column[k-1] = g_j[k] for the newest j
     yield 1
     for j in count(2):
-        # entry i is h[k] at k = i+1 with a = j-k; h_j[0] = 0 starts the column
-        a = j - 1
-        h = 0
+        # b = (d+1)(d+2) from d = j-1 down, and (d+1)(d+2) - d(d+1) = 2(d+1)
+        b, step = j * (j + 1), 2 * j
+        g = 0  # g_j[0] = 0 starts the column
         for i, x in enumerate(column):
-            h = a * x + (a + 2) * h
-            column[i] = h
-            a -= 1
-        h <<= 1
-        column.append(h)
-        yield h
+            g = x + b * g
+            column[i] = g
+            b -= step
+            step -= 2
+        g <<= 1
+        column.append(g)
+        yield g
 
 
 def _record(n: int, t: int) -> BernoulliRecord:
@@ -167,28 +175,18 @@ def record_range(limit: int) -> Iterator[BernoulliRecord]:
         yield _record(n, t)
 
 
-def _primes_upto(n: int) -> list[int]:
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, int(n**0.5) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [p for p in range(2, n + 1) if sieve[p]]
-
-
 def vsc_denominator(n: int) -> int:
     """Denominator of ``|B_{2n}|/n`` from the von Staudt-Clausen theorem.
 
     Equals ``prod(p^(1 + v_p(n)))`` over primes ``p`` with ``p - 1`` dividing
-    ``2n``.  Computed purely from the prime product, with no Bernoulli number
-    involved, so it serves as an independent cross-check of the tangent-number route.
+    ``2n``, found by trial division among ``d + 1`` for the divisors ``d`` of
+    ``2n``; no Bernoulli number is involved.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     out = 1
-    for p in _primes_upto(2 * n + 1):
-        if (2 * n) % (p - 1) == 0:
+    divisors = [d for d in range(1, isqrt(2 * n) + 1) if (2 * n) % d == 0]
+    for p in {d + 1 for d in divisors} | {2 * n // d + 1 for d in divisors}:
+        if all(p % q for q in range(2, isqrt(p) + 1)):
             out *= p ** (1 + padic_valuation(n, p))
     return out

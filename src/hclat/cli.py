@@ -164,6 +164,8 @@ def _cmd_kappa_basis(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.checkpoint == "":
+        raise ValueError("--checkpoint needs a file path, not an empty string")
     fn = verify.CLAIMS[args.claim]
     if args.max is not None:
         m_max = args.max

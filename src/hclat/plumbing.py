@@ -139,17 +139,17 @@ def pk2_of_Q(k: int) -> int:
     return 2 * lambda_k(k) ** 2 * a_m(k) ** 2 * factorial(2 * k - 1) ** 2
 
 
-def s_of_Q_formulas(k: int, bezout: BezoutPair) -> tuple[Fraction, Fraction]:
+def s_of_Q_formulas(k: int, bezout: BezoutPair | None = None) -> tuple[Fraction, Fraction]:
     """Both closed formulas for the splitting invariant of Q in dimension 8k.
 
-    The first goes through ``sigma_k^2`` and the Bezout data, the second
-    through the tangent number ``T_k`` and the ratio ``|B_{2k}|/|B_{4k}|``.
+    The first goes through ``sigma_k^2`` and the Bezout pair (checked, and the
+    canonical one when omitted), the second through ``T_k`` and ``|B_{2k}|/|B_{4k}|``.
     Either one, for a valid pair, is an integer, but that is not assumed
     here; the raw fractions are returned for cross-checking.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    require_bezout_for(2 * k, bezout)
+    bezout = require_bezout_for(2 * k, bezout)
     pk = profile(k)
     p2k = profile(2 * k)
     lam = lambda_k(k)
@@ -182,7 +182,7 @@ def s_of_Q(m: int, bezout: BezoutPair | None = None) -> int:
     if m % 2:
         return 0
     k = m // 2
-    first, second = s_of_Q_formulas(k, require_bezout_for(m, bezout))
+    first, second = s_of_Q_formulas(k, bezout)
     if first != second:
         raise RuntimeError(
             f"the two formulas for s(Q) disagree at k={k}: {first} != {second}"

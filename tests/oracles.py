@@ -3,7 +3,9 @@
 Nothing here touches the package internals: Bernoulli numbers come from
 the defining binomial recurrence and tangent numbers from inverting their
 definition against those Bernoulli values, or from Seidel's boustrophedon
-triangle, the reference the tangent engine is compared against.  Lattice
+triangle and Brent and Harvey's unscaled column recurrence, the references
+the tangent engine is compared against.  The von Staudt-Clausen denominator
+is rebuilt from a sieve of every prime up to ``2n + 1``.  Lattice
 spans are compared through a general Hermite normal form, the reference
 for the rank-<=2 membership test in ``hclat.lattices``, and Bezout
 pairs through the extended Euclidean algorithm, the reference for
@@ -12,6 +14,7 @@ pairs through the extended Euclidean algorithm, the reference for
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count, islice
 from math import comb
 
 
@@ -51,6 +54,64 @@ def seidel_tangents(limit: int) -> list[int]:
         row = nxt
         if len(row) % 2 == 0:
             out.append(acc)
+    return out
+
+
+def brent_harvey_columns():
+    """Yield ``(T_j, column)`` for ``j = 1, 2, ...`` from Brent and Harvey's
+    TangentNumbers recurrence, unscaled: ``column[k-1] = h_j[k]``, with
+    ``h_j[1] = (j-1)!`` and ``h_j[k] = (j-k) h_{j-1}[k] + (j-k+2) h_j[k-1]``.
+
+    The same list is updated in place for every ``j``; copy it to keep it.
+    """
+    column = [1]  # column[k-1] = h_j[k] for the newest j
+    yield 1, column
+    for j in count(2):
+        # entry i is h[k] at k = i+1 with a = j-k; h_j[0] = 0 starts the column
+        a = j - 1
+        h = 0
+        for i, x in enumerate(column):
+            h = a * x + (a + 2) * h
+            column[i] = h
+            a -= 1
+        h <<= 1
+        column.append(h)
+        yield h, column
+
+
+def brent_harvey_tangents(limit: int) -> list[int]:
+    """T_1..T_limit from the unscaled column recurrence."""
+    return [t for t, _ in islice(brent_harvey_columns(), limit)]
+
+
+def _primes_upto(n: int) -> list[int]:
+    if n < 2:
+        return []
+    sieve = bytearray([1]) * (n + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, int(n**0.5) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
+    return [p for p in range(2, n + 1) if sieve[p]]
+
+
+def _valuation(n: int, p: int) -> int:
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def vsc_denominator_sieve(n: int) -> int:
+    """Denominator of ``|B_{2n}|/n`` as ``prod(p^(1 + v_p(n)))`` over the
+    primes ``p <= 2n + 1`` with ``p - 1`` dividing ``2n``, from a full sieve."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    out = 1
+    for p in _primes_upto(2 * n + 1):
+        if (2 * n) % (p - 1) == 0:
+            out *= p ** (1 + _valuation(n, p))
     return out
 
 

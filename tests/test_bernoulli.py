@@ -2,11 +2,14 @@ import random
 import signal
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from itertools import islice
+from math import factorial
 
 import pytest
 
 from hclat.bernoulli import (
     SeidelEngine,
+    _tangents,
     bernoulli_abs,
     bernoulli_record,
     record_range,
@@ -16,7 +19,14 @@ from hclat.bernoulli import (
 )
 from hclat.exact import nu2
 
-from oracles import bernoulli_abs_oracle, seidel_tangents, tangent_oracle
+from oracles import (
+    bernoulli_abs_oracle,
+    brent_harvey_columns,
+    brent_harvey_tangents,
+    seidel_tangents,
+    tangent_oracle,
+    vsc_denominator_sieve,
+)
 
 
 class TestTangentNumbers:
@@ -70,6 +80,10 @@ class TestVscDenominator:
     def test_invalid(self):
         with pytest.raises(ValueError):
             vsc_denominator(0)
+
+    def test_agrees_with_the_sieve(self):
+        for n in [*range(1, 3001), 21000, 42000]:
+            assert vsc_denominator(n) == vsc_denominator_sieve(n), n
 
 
 class TestRecords:
@@ -139,6 +153,27 @@ class TestEngineAgainstSeidelTriangle:
     @pytest.mark.long
     def test_fresh_engine_matches_triangle_to_3000(self):
         assert SeidelEngine().tangent_range(3000) == seidel_tangents(3000)
+
+
+class TestScaledColumns:
+    def test_stream_matches_unscaled_recurrence_to_1000(self):
+        assert list(islice(_tangents(), 1000)) == brent_harvey_tangents(1000)
+
+    def test_entries_are_unscaled_entries_over_factorials(self):
+        facts = [factorial(d) for d in range(200)]
+        scaled = _tangents()
+        for j, (t, unscaled) in enumerate(islice(brent_harvey_columns(), 200), start=1):
+            assert next(scaled) == t
+            # the suspended generator's frame holds its live column g_j[1..j]
+            column = scaled.gi_frame.f_locals["column"]
+            assert len(column) == len(unscaled) == j
+            for k, (h, g) in enumerate(zip(unscaled, column), start=1):
+                assert divmod(h, facts[j - k]) == (g, 0), (j, k)
+
+    @pytest.mark.long
+    def test_fresh_engine_matches_unscaled_recurrence_to_4000(self):
+        # past the triangle's 3000, so the overlap with an independent kernel goes on
+        assert SeidelEngine().tangent_range(4000) == brent_harvey_tangents(4000)
 
 
 def test_engine_is_consistent_under_threads():

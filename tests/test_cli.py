@@ -341,6 +341,13 @@ class TestBadCheckpoint:
         assert err.startswith("error:")
         assert err.count("\n") == 1
 
+    def test_empty_path_error_names_the_option(self, capsys):
+        code, out, err = self.verify_with_checkpoint(capsys, "")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert "--checkpoint" in err
+
     @pytest.mark.parametrize(
         "text", ["[]", "[" * 200000 + "]" * 200000], ids=["empty", "nested_200000_deep"]
     )

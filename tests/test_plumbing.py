@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+from hclat import plumbing
 from hclat.bundles import kappa_basis
 from hclat.exact import nu2
 from hclat.genera import stolz_class_coeffs
@@ -155,6 +156,30 @@ class TestSofQ:
     def test_m_below_two_rejected(self):
         with pytest.raises(ValueError):
             s_of_Q(1)
+
+    def test_formulas_default_to_the_canonical_pair(self):
+        for k in (1, 3, 10):
+            assert s_of_Q_formulas(k) == s_of_Q_formulas(k, canonical_bezout(2 * k))
+
+    def test_pair_is_checked_once(self, monkeypatch):
+        calls = []
+
+        def counting(m, bezout=None):
+            calls.append(m)
+            return require_bezout_for(m, bezout)
+
+        monkeypatch.setattr(plumbing, "require_bezout_for", counting)
+        for pair in (None, canonical_bezout(6).shifted(1)):
+            calls.clear()
+            s_of_Q(6, pair)
+            assert calls == [6]
+
+    def test_wrong_pair_message_is_the_check_message(self):
+        with pytest.raises(ValueError) as expected:
+            require_bezout_for(4, canonical_bezout(2))
+        with pytest.raises(ValueError) as info:
+            s_of_Q(4, canonical_bezout(2))
+        assert str(info.value) == str(expected.value)
 
 
 class TestStolzS:
