@@ -4,15 +4,17 @@ Tangent numbers ``T_n = 2^{2n}(2^{2n}-1)|B_{2n}|/2n`` are integers and are
 computed column by column with Brent and Harvey's TangentNumbers recurrence
 (arXiv:1108.0286).  Their in-place algorithm has ``h_j[1] = (j-1)!``,
 ``h_j[k] = (j-k) h_{j-1}[k] + (j-k+2) h_j[k-1]`` for ``2 <= k < j`` and
-``T_j = h_j[j] = 2 h_j[j-1]``.  Column ``j`` is stored here as ``g_j[k] =
-h_j[k] / (j-k)!``; dividing the recurrence by ``(j-k)!`` gives, with
-``d = j-k``, ``g_j[1] = 1``, ``g_j[k] = g_{j-1}[k] + (d+1)(d+2) g_j[k-1]``
-and ``T_j = 2 g_j[j-1]``.  These coefficients are integers, so by induction
-on ``j`` and then ``k`` every ``g_j[k]`` is one: the divisions are exact and
-never performed.  An entry costs one multiplication of a big integer by a
-small one and one addition (``h`` needs two multiplications), and is smaller
-than ``h_j[k]`` by ``(j-k)!``.  Column ``j`` needs only column ``j-1``, so
-``T_1..T_n`` cost ``O(n^2)`` such steps and one column of memory.
+``T_j = h_j[j] = 2 h_j[j-1]``.  Column ``j`` is stored here as ``u_j[k] =
+h_j[k] / ((j-k)! 2^{k-1})``; dividing the recurrence by ``(j-k)! 2^{k-1}``
+gives, with ``d = j-k``, ``u_j[1] = 1``, ``u_j[k] = u_{j-1}[k] + C(d+2, 2)
+u_j[k-1]`` and ``u_j[j] = u_j[j-1]``, from which ``T_j = u_j[j-1] << (j-1)``
+is read off.  The binomial coefficient ``C(d+2, 2) = (d+1)(d+2)/2`` is an
+integer, so by induction on ``j`` and then ``k`` every ``u_j[k]`` is one:
+the divisions are exact and never performed.  An entry costs one
+multiplication of a big integer by a small one and one addition (``h``
+needs two multiplications), and is smaller than ``h_j[k]`` by ``(j-k)!``
+and ``k-1`` bits.  Column ``j`` needs only column ``j-1``, so ``T_1..T_n``
+cost ``O(n^2)`` such steps and one column of memory.
 Point queries go through a process-wide memo that keeps every ``T_n`` and
 record; :func:`record_range`, which scans read once in order, keeps nothing.
 
@@ -25,8 +27,15 @@ From ``T_n`` everything else is a single reduced fraction:
 degree ``4n-1``.
 
 The von Staudt-Clausen theorem gives the denominator of ``|B_{2n}|/n`` as
-a prime product, evaluated here without any Bernoulli number so the two
-routes can be cross-checked against each other.
+a prime product, evaluated here without any Bernoulli number, and
+``j = 4 * vsc_denominator(n)``.  Each record takes ``j`` from it and is
+certified rather than reduced by a gcd: writing ``T_n = 2^v t`` and
+``j = 2^w j'`` with ``t, j'`` odd, it checks ``v + w = 2n + 1``, divides
+``num4 = t j' / (2^{2n}-1)`` with remainder 0, and checks
+``gcd(num4, j) = 1``.  Then ``num4 / j = T_n / (2^{2n+1}(2^{2n}-1))`` in
+lowest terms, so a tangent number whose fraction has any denominator but
+the von Staudt-Clausen one (``T_n + 1``, ``2 T_n`` and ``3 T_n`` among
+them) fails one of the three checks.
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
 from math import gcd, isqrt
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .exact import nu2, padic_valuation
 
@@ -68,33 +77,32 @@ class BernoulliRecord:
 
 
 def _tangents() -> Iterator[int]:
-    """Yield ``T_1, T_2, ...`` forever, holding only the newest column ``g_j[1..j]``
+    """Yield ``T_1, T_2, ...`` forever, holding only the newest column ``u_j[1..j]``
     of the scaled recurrence above: one small multiply and one add per entry."""
-    column = [1]  # column[k-1] = g_j[k] for the newest j
+    column = [1]  # column[k-1] = u_j[k] for the newest j
     yield 1
     for j in count(2):
-        # b = (d+1)(d+2) from d = j-1 down, and (d+1)(d+2) - d(d+1) = 2(d+1)
-        b, step = j * (j + 1), 2 * j
-        g = 0  # g_j[0] = 0 starts the column
+        # c = C(d+2, 2) from d = j-1 down, and C(d+2, 2) - C(d+1, 2) = d+1
+        c, step = j * (j + 1) // 2, j
+        u = 0  # u_j[0] = 0 starts the column
         for i, x in enumerate(column):
-            g = x + b * g
-            column[i] = g
-            b -= step
-            step -= 2
-        g <<= 1
-        column.append(g)
-        yield g
+            u = x + c * u
+            column[i] = u
+            c -= step
+            step -= 1
+        column.append(u)  # u_j[j] = u_j[j-1]
+        yield u << (j - 1)
 
 
 def _record(n: int, t: int) -> BernoulliRecord:
-    """The record of index ``n`` from ``t = T_n``."""
-    # shift out the power of 2, so only the odd factor 2^{2n}-1 needs a gcd
-    v = nu2(t)
-    t >>= v
-    odd = (1 << (2 * n)) - 1
-    g = gcd(t, odd)
-    num4 = t // g
-    j = (odd // g) << (2 * n + 1 - v)
+    """The record of index ``n`` from ``t = T_n``, certified by von Staudt-Clausen;
+    raises ValueError when the reduced ``t / (2^{2n+1}(2^{2n}-1))`` has another
+    denominator than ``j``."""
+    j = 4 * vsc_denominator(n)
+    v, w = nu2(t), nu2(j)
+    num4, rem = divmod((t >> v) * (j >> w), (1 << (2 * n)) - 1)
+    if v + w != 2 * n + 1 or rem or gcd(num4, j) != 1:
+        raise ValueError(f"T_{n} fails its von Staudt-Clausen certificate")
     return BernoulliRecord(n=n, abs_value=Fraction(4 * n * num4, j), num4=num4, j=j)
 
 
@@ -166,13 +174,17 @@ def bernoulli_record(n: int) -> BernoulliRecord:
     return _ENGINE.record(n)
 
 
-def record_range(limit: int) -> Iterator[BernoulliRecord]:
-    """Yield records ``n = 1 .. limit`` in order from a stream of their own;
-    the engine memo is neither read nor filled."""
+def record_range(
+    limit: int, keep: Callable[[int], bool] | None = None
+) -> Iterator[BernoulliRecord]:
+    """Yield records ``n = 1 .. limit`` in order from a stream of their own, only
+    those with ``keep(n)`` when ``keep`` is given; the engine memo is neither read
+    nor filled, and an index not kept costs its tangent number but no reduction."""
     if limit < 0:
         raise ValueError("limit must be >= 0")
     for n, t in enumerate(islice(_tangents(), limit), 1):
-        yield _record(n, t)
+        if keep is None or keep(n):
+            yield _record(n, t)
 
 
 def vsc_denominator(n: int) -> int:

@@ -40,7 +40,6 @@ __all__ = [
     "KappaExpression",
     "DivisibilityReport",
     "bundle_signature_divisor",
-    "bundle_ahat_divisor",
     "signature_4_realizable",
     "kappa_basis",
     "pairing",
@@ -75,10 +74,6 @@ def bundle_signature_divisor(m: int, ord: OrdParameter | int = 1) -> int:
         return 4
     value, _ = minimal_signature(m, ord)
     return value
-
-
-# the divisor of the (integral) A-hat genus of an admissible total space
-bundle_ahat_divisor = minimal_ahat
 
 
 def signature_4_realizable(m: int) -> bool:
@@ -171,7 +166,7 @@ def divisibility_report(m: int, ord: OrdParameter | int = 1) -> DivisibilityRepo
     """Assemble the full divisibility report for dimension parameter ``m``."""
     ord = _as_ord(ord, m)
     sig = bundle_signature_divisor(m, ord)
-    ahat = bundle_ahat_divisor(m) if m >= 2 else None
+    ahat = minimal_ahat(m) if m >= 2 else None
     return DivisibilityReport(
         m=m,
         ord=ord,

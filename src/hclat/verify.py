@@ -11,11 +11,15 @@ Three claims are scanned over ranges of the dimension parameter m:
   num(|B_m|/2m)^2 are coprime.
 * ``identity-suite``: every cross-module identity of the library, per m.
 
-Failures are report entries, never exceptions.  The Bernoulli stream is
-produced once by the parent from ``bernoulli.record_range``, which keeps
-one column, not the library's memo.  The two prefix scans check each record
-in the parent as it streams: their cost is the serial stream, which a pool of
-checkers cannot shorten.  ``identity-suite`` has no stream, and its per-index
+Failures are report entries, never exceptions; only a tangent number that
+fails its record's certificate raises.  The Bernoulli stream is produced
+once by the parent from ``bernoulli.record_range``, which keeps one column,
+not the library's memo.  It reduces only the records a check reads, every
+even n and the odd n <= m_max/2, and keeps num4_n only while 2n <= m_max and
+m = 2n is not yet checked: at most m_max/4 + 1 values at any time, and none
+at the end.  The two prefix scans check each record in the parent as it
+streams: their cost is the serial stream, which a pool of checkers cannot
+shorten.  ``identity-suite`` has no stream, and its per-index
 checks go to a process pool of up to ``workers`` processes without changing
 any report content.  Checkpoints persist the scan cursor and the
 counterexamples found so far, not Bernoulli data, every 50 checked indices
@@ -124,6 +128,9 @@ class _Checkpoint:
     """Cursor-plus-counterexamples state persisted as JSON under a run header."""
 
     def __init__(self, path: str | Path, header: dict):
+        # Path("") is the current directory, which no save can replace
+        if path == "":
+            raise ValueError("checkpoint path is empty")
         self.path = Path(path)
         self.header = header
 
@@ -255,14 +262,14 @@ def _run_scan(
 
 
 def _even_m_payloads(m_max: int) -> Iterator[tuple[int, int, int]]:
-    """Stream (m, num4_m, num4_{m/2}) for even m, producing each record once."""
-    num4: dict[int, int] = {}
-    for rec in record_range(m_max):
-        num4[rec.n] = rec.num4
+    """Stream (m, num4_m, num4_{m/2}) for even m, reducing only the records read:
+    every even n, and odd n <= m_max/2."""
+    window: dict[int, int] = {}  # num4_n for 2n <= m_max, until m = 2n is checked
+    for rec in record_range(m_max, keep=lambda n: n % 2 == 0 or 2 * n <= m_max):
+        if 2 * rec.n <= m_max:
+            window[rec.n] = rec.num4
         if rec.n % 2 == 0:
-            yield (rec.n, rec.num4, num4[rec.n // 2])
-            # records below n/2 can never be needed again
-            num4.pop(rec.n // 2 - 1, None)
+            yield (rec.n, rec.num4, window.pop(rec.n // 2))
 
 
 def _check_gcd_power_of_two(payload: tuple[int, int, int]) -> tuple[int, list[dict]]:

@@ -5,7 +5,9 @@ the defining binomial recurrence and tangent numbers from inverting their
 definition against those Bernoulli values, or from Seidel's boustrophedon
 triangle and Brent and Harvey's unscaled column recurrence, the references
 the tangent engine is compared against.  The von Staudt-Clausen denominator
-is rebuilt from a sieve of every prime up to ``2n + 1``.  Lattice
+is rebuilt from a sieve of every prime up to ``2n + 1``, and each record
+from a gcd of ``T_n`` against ``2^{2n} - 1`` instead of the von
+Staudt-Clausen certificate the package uses.  Lattice
 spans are compared through a general Hermite normal form, the reference
 for the rank-<=2 membership test in ``hclat.lattices``, and Bezout
 pairs through the extended Euclidean algorithm, the reference for
@@ -15,7 +17,7 @@ pairs through the extended Euclidean algorithm, the reference for
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, islice
-from math import comb
+from math import comb, gcd
 
 
 @lru_cache(maxsize=None)
@@ -82,6 +84,19 @@ def brent_harvey_columns():
 def brent_harvey_tangents(limit: int) -> list[int]:
     """T_1..T_limit from the unscaled column recurrence."""
     return [t for t, _ in islice(brent_harvey_columns(), limit)]
+
+
+def gcd_reduction(n: int, t: int) -> tuple[Fraction, int, int]:
+    """``(|B_{2n}|, num4, j)`` from ``t = T_n``, with ``num4 / j`` the fraction
+    ``T_n / (2^{2n+1}(2^{2n}-1))`` reduced by a gcd against ``2^{2n}-1``."""
+    # shift out the power of 2, so only the odd factor 2^{2n}-1 needs a gcd
+    v = (t & -t).bit_length() - 1
+    t >>= v
+    odd = (1 << (2 * n)) - 1
+    g = gcd(t, odd)
+    num4 = t // g
+    j = (odd // g) << (2 * n + 1 - v)
+    return Fraction(4 * n * num4, j), num4, j
 
 
 def _primes_upto(n: int) -> list[int]:

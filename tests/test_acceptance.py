@@ -11,7 +11,6 @@ import pytest
 
 from hclat.bernoulli import bernoulli_abs, record_range, vsc_denominator
 from hclat.bundles import (
-    bundle_ahat_divisor,
     bundle_signature_divisor,
     kappa_basis,
     pairing_matrix,
@@ -19,7 +18,7 @@ from hclat.bundles import (
 )
 from hclat.exact import nu2, odd_part
 from hclat.genera import s, shat
-from hclat.lattices import generator_invariants, lattice_span_equal
+from hclat.lattices import generator_invariants, lattice_span_equal, minimal_ahat
 from hclat.plumbing import bp_order, canonical_bezout, profile, s_of_Q, s_of_Q_formulas
 from hclat.verify import verify_gcd_power_of_two, verify_numerator_coprimality
 
@@ -156,9 +155,9 @@ def test_criterion_10_bundle_divisors():
     assert bundle_signature_divisor(4, 1) == 4
     assert bundle_signature_divisor(3, 1) == 7936
     assert bundle_signature_divisor(6, 1) == 512
-    assert bundle_ahat_divisor(3) == 2
-    assert bundle_ahat_divisor(2) == 1
-    assert bundle_ahat_divisor(6) == 1
+    assert minimal_ahat(3) == 2
+    assert minimal_ahat(2) == 1
+    assert minimal_ahat(6) == 1
     for m in range(1, 13):
         assert signature_4_realizable(m) is (m in (1, 2, 4))
     _report(10, "bundle divisors: 4/7936/512 pattern and A-hat 2/1/1; 4 realizable iff m in {1,2,4}", budget.check())

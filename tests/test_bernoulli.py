@@ -9,6 +9,7 @@ import pytest
 
 from hclat.bernoulli import (
     SeidelEngine,
+    _record,
     _tangents,
     bernoulli_abs,
     bernoulli_record,
@@ -23,6 +24,7 @@ from oracles import (
     bernoulli_abs_oracle,
     brent_harvey_columns,
     brent_harvey_tangents,
+    gcd_reduction,
     seidel_tangents,
     tangent_oracle,
     vsc_denominator_sieve,
@@ -164,16 +166,42 @@ class TestScaledColumns:
         scaled = _tangents()
         for j, (t, unscaled) in enumerate(islice(brent_harvey_columns(), 200), start=1):
             assert next(scaled) == t
-            # the suspended generator's frame holds its live column g_j[1..j]
+            # the suspended generator's frame holds its live column u_j[1..j]
             column = scaled.gi_frame.f_locals["column"]
             assert len(column) == len(unscaled) == j
-            for k, (h, g) in enumerate(zip(unscaled, column), start=1):
-                assert divmod(h, facts[j - k]) == (g, 0), (j, k)
+            for k, (h, u) in enumerate(zip(unscaled, column), start=1):
+                assert divmod(h, facts[j - k] << (k - 1)) == (u, 0), (j, k)
 
     @pytest.mark.long
     def test_fresh_engine_matches_unscaled_recurrence_to_4000(self):
         # past the triangle's 3000, so the overlap with an independent kernel goes on
         assert SeidelEngine().tangent_range(4000) == brent_harvey_tangents(4000)
+
+
+def _assert_records_match_gcd_reduction(limit):
+    for n, t in enumerate(islice(_tangents(), limit), start=1):
+        rec = _record(n, t)
+        assert (rec.abs_value, rec.num4, rec.j) == gcd_reduction(n, t), n
+
+
+class TestCertifiedRecords:
+    def test_records_match_gcd_reduction_to_1000(self):
+        _assert_records_match_gcd_reduction(1000)
+
+    @pytest.mark.long
+    def test_records_match_gcd_reduction_to_4000(self):
+        _assert_records_match_gcd_reduction(4000)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 40, 41, 300])
+    @pytest.mark.parametrize(
+        "corrupt",
+        # the last keeps the 2-adic valuation and leaves a remainder
+        [lambda t: t + 1, lambda t: 3 * t, lambda t: 2 * t, lambda t: t + 2 * (t & -t)],
+        ids=["plus1", "times3", "times2", "odd_part_plus2"],
+    )
+    def test_wrong_tangent_number_fails_the_certificate(self, n, corrupt):
+        with pytest.raises(ValueError, match=f"T_{n} fails"):
+            _record(n, corrupt(tangent_number(n)))
 
 
 def test_engine_is_consistent_under_threads():

@@ -5,7 +5,6 @@ import pytest
 
 from hclat.bundles import (
     KappaExpression,
-    bundle_ahat_divisor,
     bundle_signature_divisor,
     divisibility_report,
     kappa_basis,
@@ -16,6 +15,7 @@ from hclat.bundles import (
 from hclat.lattices import (
     InvariantVector,
     generator_invariants,
+    minimal_ahat,
     signature_divisibility_bound,
 )
 from hclat.plumbing import canonical_bezout
@@ -30,9 +30,9 @@ class TestDivisors:
         assert bundle_signature_divisor(6, 1) == 512
 
     def test_ahat_divisor_cases(self):
-        assert bundle_ahat_divisor(3) == 2
-        assert bundle_ahat_divisor(2) == 1
-        assert bundle_ahat_divisor(6) == 1
+        assert minimal_ahat(3) == 2
+        assert minimal_ahat(2) == 1
+        assert minimal_ahat(6) == 1
 
     def test_signature_4_realizable_exactly_on_exceptions(self):
         for m in range(1, 21):

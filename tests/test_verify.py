@@ -201,8 +201,8 @@ class TestReportMechanics:
         ckpt = tmp_path / "scan.json"
         records = verify.record_range
 
-        def interrupted_at_600(m_max):
-            for rec in records(m_max):
+        def interrupted_at_600(m_max, keep=None):
+            for rec in records(m_max, keep):
                 if rec.n == 600:
                     raise KeyboardInterrupt
                 yield rec
@@ -236,6 +236,12 @@ class TestReportMechanics:
         # with two workers the only scan that checks in a pool
         verify_identity_suite(101, workers=workers, checkpoint_path=tmp_path / "ident.json")
         assert saved == [0, 51, 101, 101]
+
+    @pytest.mark.parametrize("claim", sorted(verify.CLAIMS))
+    def test_empty_checkpoint_path_rejected(self, claim):
+        # Path("") would be the current directory
+        with pytest.raises(ValueError, match="checkpoint path is empty"):
+            verify.CLAIMS[claim](10, checkpoint_path="")
 
     def test_resuming_finished_scan_is_stable(self, tmp_path):
         ckpt = tmp_path / "scan.json"
@@ -288,3 +294,50 @@ def test_scans_leave_the_engine_memo_alone(monkeypatch, capsys):
     assert len(json.loads(capsys.readouterr().out)) == 50
     assert engine._tangent == [0]
     assert engine._records == {}
+
+
+class TestPrefixStream:
+    @pytest.mark.parametrize("m_max", [600, 601])
+    def test_reduces_only_what_a_check_reads(self, monkeypatch, m_max):
+        expected = [
+            (r.n, r.num4, bernoulli.bernoulli_record(r.n // 2).num4)
+            for r in bernoulli.record_range(m_max)
+            if r.n % 2 == 0
+        ]
+        reduced, sizes = [], []
+        record = bernoulli._record
+
+        def counting_record(n, t):
+            reduced.append(n)
+            sizes.append(len(payloads.gi_frame.f_locals["window"]))
+            return record(n, t)
+
+        monkeypatch.setattr(bernoulli, "_record", counting_record)
+        payloads = verify._even_m_payloads(m_max)
+        got = []
+        for payload in payloads:
+            got.append(payload)
+            sizes.append(len(payloads.gi_frame.f_locals["window"]))
+        assert got == expected
+        assert reduced == [n for n in range(1, m_max + 1) if n % 2 == 0 or 2 * n <= m_max]
+        assert max(sizes) <= m_max // 4 + 1
+        # the last payload took the last value the window held
+        assert sizes[-1] == 0
+
+    @pytest.mark.parametrize("corrupt", [lambda t: t + 1, lambda t: 3 * t], ids=["plus1", "times3"])
+    def test_wrong_tangent_number_stops_the_scan(self, monkeypatch, capsys, corrupt):
+        stream = bernoulli._tangents
+
+        def corrupted_at_40():
+            for n, t in enumerate(stream(), start=1):
+                yield corrupt(t) if n == 40 else t
+
+        monkeypatch.setattr(bernoulli, "_tangents", corrupted_at_40)
+        with pytest.raises(ValueError, match="T_40 fails"):
+            verify_gcd_power_of_two(100)
+        assert main(["verify", "numerator-coprimality", "--max", "100"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: T_40 fails its von Staudt-Clausen certificate"
+        ]
