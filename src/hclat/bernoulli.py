@@ -63,17 +63,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BernoulliRecord:
-    """Index ``n`` together with ``|B_{2n}|`` and the reduced ``|B_{2n}|/4n``.
+    """Index ``n`` together with the reduced ``|B_{2n}|/4n``.
 
     ``num4 / j`` is ``|B_{2n}|/4n`` in lowest terms; both parts are kept
     because the numerator and the denominator ``j_n`` play independent roles
-    downstream.
+    downstream.  ``|B_{2n}|`` itself is derived from them on access.
     """
 
     n: int
-    abs_value: Fraction
     num4: int
     j: int
+
+    @property
+    def abs_value(self) -> Fraction:
+        """``|B_{2n}| = 4n num4 / j`` as a reduced fraction."""
+        return Fraction(4 * self.n * self.num4, self.j)
 
 
 def _tangents() -> Iterator[int]:
@@ -103,7 +107,7 @@ def _record(n: int, t: int) -> BernoulliRecord:
     num4, rem = divmod((t >> v) * (j >> w), (1 << (2 * n)) - 1)
     if v + w != 2 * n + 1 or rem or gcd(num4, j) != 1:
         raise ValueError(f"T_{n} fails its von Staudt-Clausen certificate")
-    return BernoulliRecord(n=n, abs_value=Fraction(4 * n * num4, j), num4=num4, j=j)
+    return BernoulliRecord(n=n, num4=num4, j=j)
 
 
 class SeidelEngine:

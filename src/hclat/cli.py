@@ -251,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--full",
         action="store_true",
-        help="use the full published range (hour-scale for the largest)",
+        help="use the full published range (the m <= 42000 coprimality range has "
+        "not been run; see ROADMAP item 6)",
     )
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--checkpoint", default=None, help="checkpoint file path")

@@ -18,7 +18,6 @@ __all__ = [
     "normalize_bezout",
     "padic_valuation",
     "nu2",
-    "odd_part",
     "gcd_with_square",
 ]
 
@@ -105,13 +104,6 @@ def padic_valuation(x: int | Fraction, p: int) -> int:
 def nu2(x: int | Fraction) -> int:
     """2-adic valuation, the case of :func:`padic_valuation` used throughout."""
     return padic_valuation(x, 2)
-
-
-def odd_part(n: int) -> int:
-    """``n`` with all factors of 2 removed (``n`` must be nonzero)."""
-    if n == 0:
-        raise ValueError("0 has no odd part")
-    return abs(n) >> nu2(n)
 
 
 def gcd_with_square(a: int, b: int) -> tuple[int, int]:

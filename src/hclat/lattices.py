@@ -54,7 +54,7 @@ class OrdParameter:
       not implied by the others, and it only bites at ``m = 5``).
 
     For ``m = 5`` the order is genuinely unknown, so it must be supplied
-    explicitly; :meth:`default` returns the conjectural value 1.
+    explicitly; the functions taking ``ord`` default to the conjectural 1.
     """
 
     value: int
@@ -81,10 +81,6 @@ class OrdParameter:
             raise ValueError(
                 f"nu2(ord)={nu2(self.value)} exceeds the bound {2 * nu2(self.m) + 4}"
             )
-
-    @classmethod
-    def default(cls, m: int) -> "OrdParameter":
-        return cls(1, m)
 
 
 def _as_ord(ord: "OrdParameter | int", m: int) -> OrdParameter:

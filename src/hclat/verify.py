@@ -1,4 +1,4 @@
-"""Long-range verification scans with checkpointing and worker pools.
+"""Long-range verification scans with checkpointing and a worker pool.
 
 Three claims are scanned over ranges of the dimension parameter m:
 
@@ -19,12 +19,14 @@ even n and the odd n <= m_max/2, and keeps num4_n only while 2n <= m_max and
 m = 2n is not yet checked: at most m_max/4 + 1 values at any time, and none
 at the end.  The two prefix scans check each record in the parent as it
 streams: their cost is the serial stream, which a pool of checkers cannot
-shorten.  ``identity-suite`` has no stream, and its per-index
-checks go to a process pool of up to ``workers`` processes without changing
-any report content.  Checkpoints persist the scan cursor and the
-counterexamples found so far, not Bernoulli data, every 50 checked indices
-and on exit; a resumed run recomputes the (cheap relative to disk) stream
-and skips only the check work already done.
+shorten, so they only validate ``workers``.  ``identity-suite`` has no
+stream; with ``workers`` above 1 it owns a process pool of that many
+processes, at most the CPU count, and hands the pool's ``map`` to the shared
+scan driver, which knows cursors, checkpoints and reports but no processes.
+No report content depends on ``workers``.  Checkpoints persist the scan
+cursor and the counterexamples found so far, not Bernoulli data, every 50
+checked indices and on exit; a resumed run recomputes the (cheap relative to
+disk) stream and skips only the check work already done.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from math import factorial, gcd
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -187,6 +189,14 @@ class _Checkpoint:
         tmp.replace(self.path)
 
 
+def _worker_count(workers: int) -> int:
+    """``workers``, rejected below 1 and capped at the CPU count, since a process
+    pool starts every worker it is asked for at once."""
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    return min(workers, os.cpu_count() or 1)
+
+
 def _leave_interrupts_to_the_parent() -> None:
     # Ctrl-C and a group SIGTERM reach the workers too: what the parent turns into
     # KeyboardInterrupt is its alone to act on, what kills it must kill them as well
@@ -201,19 +211,17 @@ def _run_scan(
     payloads: Iterable[tuple],
     check: Callable[[tuple], tuple[int, list[dict]]],
     params: dict,
-    workers: int = 1,
     checkpoint_path: str | Path | None = None,
+    mapper: Callable = map,
 ) -> VerificationReport:
     """Ordered scan loop shared by all claims, which all start at m = 2.
 
     ``payloads`` yields tuples whose first entry is the index m (>= 2), in
-    increasing order; ``check`` maps a payload to ``(m, witnesses)`` and
-    must be a module-level function so a process pool can run it.
+    increasing order; ``check`` maps a payload to ``(m, witnesses)``, and
+    ``mapper(check, todo)`` yields those results in order, as ``map`` and
+    ``Executor.map`` do.  It is called once the checkpoint is loaded and saved,
+    so a bad path fails before a pool starts a worker at its first submit.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    # a process pool starts every worker it is asked for at once
-    workers = min(workers, os.cpu_count() or 1)
     t0 = time.monotonic()
     header = {"claim": claim, "m_min": 2, "m_max": m_max, "params": to_jsonable(params)}
     ckpt = _Checkpoint(checkpoint_path, header) if checkpoint_path is not None else None
@@ -223,17 +231,9 @@ def _run_scan(
         ckpt.save(cursor, witnesses)
 
     todo = (p for p in payloads if p[0] > cursor)
-
-    def results() -> Iterator[tuple[int, list[dict]]]:
-        if workers == 1:
-            yield from map(check, todo)
-            return
-        with ProcessPoolExecutor(workers, initializer=_leave_interrupts_to_the_parent) as pool:
-            # closing this iterator on an interrupt cancels the tasks not yet started
-            yield from pool.map(check, todo, chunksize=8)
-
     try:
-        for checked, (m, found) in enumerate(results(), 1):
+        # an interrupt closes the mapper's iterator; a pool's then cancels the queued tasks
+        for checked, (m, found) in enumerate(mapper(check, todo), 1):
             # one statement, so an interrupt cannot split a cursor from its witnesses
             cursor, witnesses = m, witnesses + found
             if ckpt and checked % _SAVE_EVERY == 0:
@@ -296,16 +296,10 @@ def _prefix_scan(
     """One of the two scans over even m that check each record as it streams."""
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
-    return _run_scan(
-        claim,
-        m_max,
-        _even_m_payloads(m_max),
-        check,
-        params={"ord_policy": "not-involved"},
-        # a pool of checkers cannot shorten the serial stream; below 1 is still rejected
-        workers=min(workers, 1),
-        checkpoint_path=checkpoint_path,
-    )
+    # a pool of checkers cannot shorten the serial stream, so ``workers`` is only validated
+    _worker_count(workers)
+    params = {"ord_policy": "not-involved"}
+    return _run_scan(claim, m_max, _even_m_payloads(m_max), check, params, checkpoint_path)
 
 
 def verify_gcd_power_of_two(
@@ -501,16 +495,14 @@ def verify_identity_suite(
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
+    workers = _worker_count(workers)
     payloads = ((m,) for m in range(2, m_max + 1))
-    return _run_scan(
-        "identity-suite",
-        m_max,
-        payloads,
-        _check_identities,
-        params={"ord_policy": "conjectural-1"},
-        workers=workers,
-        checkpoint_path=checkpoint_path,
-    )
+    args = ("identity-suite", m_max, payloads, _check_identities, {"ord_policy": "conjectural-1"})
+    if workers == 1:
+        return _run_scan(*args, checkpoint_path)
+    # the workers start at the scan's first submit, after its checkpoint is loaded and saved
+    with ProcessPoolExecutor(workers, initializer=_leave_interrupts_to_the_parent) as pool:
+        return _run_scan(*args, checkpoint_path, partial(pool.map, chunksize=8))
 
 
 CLAIMS = {

@@ -16,7 +16,7 @@ from hclat.bundles import (
     pairing_matrix,
     signature_4_realizable,
 )
-from hclat.exact import nu2, odd_part
+from hclat.exact import nu2
 from hclat.genera import s, shat
 from hclat.lattices import generator_invariants, lattice_span_equal, minimal_ahat
 from hclat.plumbing import bp_order, canonical_bezout, profile, s_of_Q, s_of_Q_formulas
@@ -92,7 +92,7 @@ def test_criterion_06_gcd_power_of_two_scan():
     assert report.counterexamples == []
     for m in range(2, 301, 2):
         g = gcd(profile(m).sigma, profile(m // 2).sigma ** 2)
-        assert odd_part(g) == 1
+        assert g >> nu2(g) == 1
         assert nu2(g) == 2 * m + 1
     _report(6, "gcd(sigma_m, sigma_{m/2}^2) = 2^(2m+1) for even m <= 300", budget.check())
 

@@ -1,6 +1,7 @@
 import random
 import signal
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 from fractions import Fraction
 from itertools import islice
 from math import factorial
@@ -8,6 +9,7 @@ from math import factorial
 import pytest
 
 from hclat.bernoulli import (
+    BernoulliRecord,
     SeidelEngine,
     _record,
     _tangents,
@@ -98,6 +100,13 @@ class TestRecords:
         assert rec.j == j
         assert rec.num4 == num4
         assert Fraction(rec.num4, rec.j) == rec.abs_value / (4 * n)
+
+    def test_record_stores_only_n_num4_and_j(self):
+        assert [f.name for f in fields(BernoulliRecord)] == ["n", "num4", "j"]
+        for rec in record_range(300):
+            assert rec.abs_value == Fraction(4 * rec.n * rec.num4, rec.j)
+        with pytest.raises(AttributeError):
+            rec.abs_value = Fraction(1)
 
     def test_range_singleton(self):
         recs = list(record_range(1))

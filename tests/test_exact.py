@@ -11,7 +11,6 @@ from hclat.exact import (
     gcd_with_square,
     normalize_bezout,
     nu2,
-    odd_part,
     padic_valuation,
 )
 from oracles import extended_gcd
@@ -174,10 +173,7 @@ class TestPadicValuation:
 
 def test_helpers():
     assert nu2(24) == 3
-    assert odd_part(24) == 3
-    assert odd_part(-40) == 5
-    with pytest.raises(ValueError):
-        odd_part(0)
+    assert nu2(-40) == 3
 
 
 def test_gcd_with_square_matches_full_gcd():

@@ -23,7 +23,7 @@ from oracles import hermite_normal_form
 
 class TestOrdParameter:
     def test_default_is_one(self):
-        assert OrdParameter.default(6).value == 1
+        assert generator_invariants(6).ord == OrdParameter(1, 6)
 
     def test_odd_m_must_be_one(self):
         with pytest.raises(ValueError):
@@ -275,7 +275,7 @@ class TestLatticeSpanEqual:
 def _basis(*vectors) -> LatticeBasis:
     return LatticeBasis(
         6,
-        OrdParameter.default(6),
+        OrdParameter(1, 6),
         "full_kernel",
         tuple((f"v{i}", InvariantVector(*v)) for i, v in enumerate(vectors)),
     )

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import random
 from math import gcd
@@ -218,6 +219,33 @@ class TestReportMechanics:
         assert resumed.to_json(include_wall_time=False) == verify_numerator_coprimality(
             1200
         ).to_json(include_wall_time=False)
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs for two workers")
+    def test_pool_interrupt_at_periodic_save_leaves_no_worker(self, tmp_path, monkeypatch):
+        ckpt = tmp_path / "ident.json"
+        save = verify._Checkpoint.save
+        saved = []
+
+        def interrupted_first_periodic_save(self, cursor, counterexamples):
+            save(self, cursor, counterexamples)
+            saved.append(cursor)
+            # the first call is the early save, the second the first periodic one
+            if len(saved) == 2:
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(verify, "_SAVE_EVERY", 5)
+        monkeypatch.setattr(verify._Checkpoint, "save", interrupted_first_periodic_save)
+        with pytest.raises(KeyboardInterrupt):
+            verify_identity_suite(120, workers=2, checkpoint_path=ckpt)
+        # the pool was shut down on the way out, and the last save kept the cursor
+        assert multiprocessing.active_children() == []
+        assert saved == [0, 6, 6]
+        assert json.loads(ckpt.read_text())["cursor"] == 6
+        monkeypatch.undo()
+        resumed = verify_identity_suite(120, workers=2, checkpoint_path=ckpt)
+        assert resumed.to_json(include_wall_time=False) == verify_identity_suite(120).to_json(
+            include_wall_time=False
+        )
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_checkpoint_save_cadence(self, tmp_path, monkeypatch, workers):
