@@ -32,7 +32,8 @@ a prime product, evaluated here without any Bernoulli number, and
 certified rather than reduced by a gcd: writing ``T_n = 2^v t`` and
 ``j = 2^w j'`` with ``t, j'`` odd, it checks ``v + w = 2n + 1``, divides
 ``num4 = t j' / (2^{2n}-1)`` with remainder 0, and checks
-``gcd(num4, j) = 1``.  Then ``num4 / j = T_n / (2^{2n+1}(2^{2n}-1))`` in
+``gcd(num4, j) = 1``; the division folds base-``2^{2n}`` digits and needs
+no long division.  Then ``num4 / j = T_n / (2^{2n+1}(2^{2n}-1))`` in
 lowest terms, so a tangent number whose fraction has any denominator but
 the von Staudt-Clausen one (``T_n + 1``, ``2 T_n`` and ``3 T_n`` among
 them) fails one of the three checks.
@@ -41,11 +42,11 @@ them) fails one of the three checks.
 from __future__ import annotations
 
 import threading
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
 from math import gcd, isqrt
-from typing import Callable, Iterator
 
 from .exact import nu2, padic_valuation
 
@@ -98,13 +99,25 @@ def _tangents() -> Iterator[int]:
         yield u << (j - 1)
 
 
+def _divmod_mersenne(x: int, bits: int) -> tuple[int, int]:
+    """``divmod(x, 2^bits - 1)`` for ``x >= 0``.  Since ``2^bits = 1`` modulo the
+    divisor, ``q = sum(x >> (i bits) for i >= 1)`` leaves ``x - q (2^bits - 1)``, the
+    sum of x's base-``2^bits`` digits, and one small divmod of that finishes."""
+    q, y = 0, x >> bits
+    while y:
+        q += y
+        y >>= bits
+    q_small, rem = divmod(x - ((q << bits) - q), (1 << bits) - 1)
+    return q + q_small, rem
+
+
 def _record(n: int, t: int) -> BernoulliRecord:
     """The record of index ``n`` from ``t = T_n``, certified by von Staudt-Clausen;
     raises ValueError when the reduced ``t / (2^{2n+1}(2^{2n}-1))`` has another
     denominator than ``j``."""
     j = 4 * vsc_denominator(n)
     v, w = nu2(t), nu2(j)
-    num4, rem = divmod((t >> v) * (j >> w), (1 << (2 * n)) - 1)
+    num4, rem = _divmod_mersenne((t >> v) * (j >> w), 2 * n)
     if v + w != 2 * n + 1 or rem or gcd(num4, j) != 1:
         raise ValueError(f"T_{n} fails its von Staudt-Clausen certificate")
     return BernoulliRecord(n=n, num4=num4, j=j)

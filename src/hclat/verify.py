@@ -23,6 +23,8 @@ shorten, so they only validate ``workers``.  ``identity-suite`` has no
 stream; with ``workers`` above 1 it owns a process pool of that many
 processes, at most the CPU count, and hands the pool's ``map`` to the shared
 scan driver, which knows cursors, checkpoints and reports but no processes.
+Only there is ``concurrent.futures``' process pool imported, so no other
+scan or query loads ``multiprocessing`` and the modules it pulls in.
 No report content depends on ``workers``.  Checkpoints persist the scan
 cursor and the counterexamples found so far, not Bernoulli data, every 50
 checked indices and on exit; a resumed run recomputes the (cheap relative to
@@ -33,17 +35,15 @@ from __future__ import annotations
 
 import json
 import os
-import random
 import signal
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from math import factorial, gcd
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
 
 from . import bundles, genera, lattices, plumbing
 from .bernoulli import record_range
@@ -391,6 +391,8 @@ def _check_identities(payload: tuple[int]) -> tuple[int, list[dict]]:
     run("kappa_duality_identity", kappa_duality)
 
     def kappa_integrality() -> bool:
+        import random
+
         basis = basis_for("signature_in_4Z")
         exprs = bundles.kappa_basis(m, 1)
         rng = random.Random(0xC0FFEE ^ m)
@@ -500,6 +502,9 @@ def verify_identity_suite(
     args = ("identity-suite", m_max, payloads, _check_identities, {"ord_policy": "conjectural-1"})
     if workers == 1:
         return _run_scan(*args, checkpoint_path)
+    # imported here, where the one pool opens: no other hclat process needs multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     # the workers start at the scan's first submit, after its checkpoint is loaded and saved
     with ProcessPoolExecutor(workers, initializer=_leave_interrupts_to_the_parent) as pool:
         return _run_scan(*args, checkpoint_path, partial(pool.map, chunksize=8))

@@ -11,6 +11,7 @@ import pytest
 from hclat.bernoulli import (
     BernoulliRecord,
     SeidelEngine,
+    _divmod_mersenne,
     _record,
     _tangents,
     bernoulli_abs,
@@ -211,6 +212,19 @@ class TestCertifiedRecords:
     def test_wrong_tangent_number_fails_the_certificate(self, n, corrupt):
         with pytest.raises(ValueError, match=f"T_{n} fails"):
             _record(n, corrupt(tangent_number(n)))
+
+    @pytest.mark.parametrize("bits", [2, 3, 63, 64, 65, 1000, 5356, 84000])
+    def test_mersenne_division_is_divmod(self, bits):
+        # 84000 = 2n at n = 42000, the end of the published coprimality range
+        rng = random.Random(bits)
+        d = (1 << bits) - 1
+        assert _divmod_mersenne(0, bits) == (0, 0)
+        for size in (1, bits - 1, bits, bits + 1, 2 * bits, rng.randint(1, 13 * bits)):
+            q = rng.getrandbits(size) | 1
+            for x in (
+                q * d, q * d + rng.randrange(1, d), q * d + d - 1, rng.getrandbits(size + bits)
+            ):
+                assert _divmod_mersenne(x, bits) == divmod(x, d), (bits, size)
 
 
 def test_engine_is_consistent_under_threads():

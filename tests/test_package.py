@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import hclat
 from hclat import bernoulli, bundles, exact, genera, lattices, plumbing, verify
 
@@ -22,3 +27,27 @@ def test_star_import_binds_every_name():
     assert set(hclat.__all__) <= namespace.keys()
     for name in hclat.__all__:
         assert namespace[name] is getattr(hclat, name)
+
+
+def test_no_process_pool_modules_outside_the_identity_pool():
+    # only identity-suite with workers > 1 opens a pool, so no other use of the
+    # package may pay for importing multiprocessing and concurrent.futures
+    code = """
+import sys
+import hclat, hclat.cli
+from hclat.verify import (
+    verify_gcd_power_of_two, verify_identity_suite, verify_numerator_coprimality,
+)
+verify_gcd_power_of_two(40)
+verify_numerator_coprimality(40, workers=2)
+verify_identity_suite(12)
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("multiprocessing", "concurrent")))
+"""
+    src = str(Path(hclat.__file__).resolve().parents[1])
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import multiprocessing
 import os
@@ -156,7 +157,7 @@ class TestReportMechanics:
                 return map(fn, iterable)
 
         monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(verify, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         report = verify_identity_suite(12, workers=os.cpu_count() + 1)
         assert requested == [2]
         assert report.to_json(include_wall_time=False) == verify_identity_suite(12).to_json(
@@ -168,7 +169,7 @@ class TestReportMechanics:
         def no_pool(*args, **kwargs):
             raise AssertionError("a prefix scan started a process pool")
 
-        monkeypatch.setattr(verify, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         assert scan(80, workers=2).to_json(include_wall_time=False) == scan(80).to_json(
             include_wall_time=False
         )
