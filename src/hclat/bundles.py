@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
 from .exact import BezoutPair
 from .lattices import (
@@ -107,21 +106,19 @@ def kappa_basis(
         return [KappaExpression(Fraction(1, 12), Fraction(0))]
     prof = profile(m)
     if m % 2:
-        return [KappaExpression(Fraction(1, 2 * factorial(2 * m - 1) * prof.j), Fraction(0))]
+        return [KappaExpression(Fraction(1, 2 * prof.fact * prof.j), Fraction(0))]
     k = m // 2
     bezout = require_bezout_for(m, bezout)
-    f2k = factorial(2 * k - 1)
-    f4k = factorial(4 * k - 1)
     pk = profile(k)
     b4k = Fraction(pk.num4, pk.j)
     mixed = KappaExpression(
-        Fraction(1, f4k * prof.j),
-        -Fraction(1, 2 * f4k * prof.j)
-        - b4k * (bezout.c * b4k + 2 * bezout.d * (-1) ** k) / (2 * f2k**2),
+        Fraction(1, prof.fact * prof.j),
+        -Fraction(1, 2 * prof.fact * prof.j)
+        - b4k * (bezout.c * b4k + 2 * bezout.d * (-1) ** k) / (2 * pk.fact**2),
     )
     pure = KappaExpression(
         Fraction(0),
-        Fraction(1, 2 * lambda_k(k) * pk.a**2 * ord.value * f2k**2),
+        Fraction(1, 2 * lambda_k(k) * pk.a**2 * ord.value * pk.fact**2),
     )
     return [mixed, pure]
 
@@ -135,9 +132,9 @@ def pairing_matrix(
 
     Entry (i, j) is the i-th kappa expression evaluated on the j-th
     generator; the result is the identity matrix, which is the integrality
-    and unimodularity statement at lattice level.
+    and unimodularity statement at lattice level.  Needs ``m >= 2``: at
+    ``m = 1`` there is a kappa basis but no lattice, and ValueError is raised.
     """
-    ord = _as_ord(ord, m)
     exprs = kappa_basis(m, ord, bezout)
     basis = generator_invariants(m, ord, "signature_in_4Z", bezout)
     return [[pairing(e, vec) for _, vec in basis.generators] for e in exprs]

@@ -61,7 +61,7 @@ def _cmd_bernoulli(args) -> int:
 
 def _cmd_coeffs(args) -> int:
     if args.genus == "S":
-        g = genera.stolz_class_coeffs(args.m, plumbing.canonical_bezout(args.m))
+        g = genera.stolz_class_coeffs(args.m)
     else:
         g = genera.genus_coeffs(args.genus, args.m)
     data = {

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .bernoulli import tangent_number
 from .exact import BezoutPair
 from .plumbing import profile, require_bezout_for, sigma_over_a
 
@@ -78,7 +77,7 @@ def shat(n: int) -> Fraction:
     if n < 1:
         raise ValueError("n must be >= 1")
     prof = profile(n)
-    return -Fraction(prof.num4, prof.j * factorial(2 * n - 1))
+    return -Fraction(prof.num4, prof.j * prof.fact)
 
 
 def s(n: int) -> Fraction:
@@ -91,7 +90,7 @@ def s(n: int) -> Fraction:
         raise ValueError("n must be >= 1")
     prof = profile(n)
     via_shat = -sigma_over_a(n) * shat(n)
-    via_sigma = Fraction(prof.sigma, prof.a * factorial(2 * n - 1) * prof.j)
+    via_sigma = Fraction(prof.sigma, prof.a * prof.fact * prof.j)
     if via_shat != via_sigma:
         raise RuntimeError(f"the two closed forms of s_{n} disagree")
     return via_shat
@@ -116,29 +115,30 @@ def genus_coeffs(genus: str, m: int) -> GenusCoefficients:
             top = Fraction((-1) ** (m + 1), factorial(2 * m - 1))
         return GenusCoefficients(m, top, zero)
     k = m // 2
-    f4k = factorial(4 * k - 1)
     if genus == "L":
         return GenusCoefficients(m, s(2 * k), (s(k) ** 2 - s(2 * k)) / 2)
     if genus == "Ahat":
         return GenusCoefficients(m, shat(2 * k), (shat(k) ** 2 - shat(2 * k)) / 2)
+    f4k = factorial(4 * k - 1)
     if genus == "Ph":
         return GenusCoefficients(m, -Fraction(1, f4k), Fraction(1, 2 * f4k))
-    half = Fraction((-1) ** (k + 1), factorial(2 * k - 1)) * shat(k) + Fraction(1, 2 * f4k)
+    half = Fraction((-1) ** (k + 1), profile(k).fact) * shat(k) + Fraction(1, 2 * f4k)
     return GenusCoefficients(m, -Fraction(1, f4k), half)
 
 
-def stolz_class_coeffs(m: int, bezout: BezoutPair) -> GenusCoefficients:
+def stolz_class_coeffs(m: int, bezout: BezoutPair | None = None) -> GenusCoefficients:
     """Coefficients of the signature-defect combination ``S_m``.
 
     ``bezout`` must be a valid pair for the numerator and denominator of
-    ``|B_{2m}|/4m`` (any representative, not necessarily normalized).  The
-    ``p_top`` coefficient always cancels to zero; this is asserted and the
-    exact zero is returned.  For odd ``m`` the ``p_half^2`` coefficient is
-    zero as well.  For even ``m`` it depends on the chosen representative.
+    ``|B_{2m}|/4m`` (any representative, not necessarily normalized), and
+    is the canonical pair when omitted.  The ``p_top`` coefficient always
+    cancels to zero; this is asserted and the exact zero is returned.  For
+    odd ``m`` the ``p_half^2`` coefficient is zero as well.  For even ``m``
+    it depends on the chosen representative.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    require_bezout_for(m, bezout)
+    bezout = require_bezout_for(m, bezout)
     gl = genus_coeffs("L", m)
     ga = genus_coeffs("Ahat", m)
     gap = genus_coeffs("AhatPh", m)
@@ -186,9 +186,8 @@ def p2k_solve(k: int) -> P2kDecomposition:
     ahat_on_sq = (s2k * hk**2 - h2k * sk**2) / (2 * s2k)
     pw = (1 << (4 * k - 1)) - 1
     closed_L = -Fraction(1, (1 << (4 * k + 1)) * pw)
-    closed_sq = Fraction(
-        tangent_number(k) ** 2, factorial(2 * k - 1) ** 2 * (1 << (4 * k + 3)) * pw
-    )
+    pk = profile(k)
+    closed_sq = Fraction(pk.tangent**2, pk.fact**2 * (1 << (4 * k + 3)) * pw)
     if ahat_on_L != closed_L or ahat_on_sq != closed_sq:
         raise RuntimeError(f"closed forms for Ahat_{2 * k} over (L, p^2) disagree")
     return P2kDecomposition(k, p2k_on_L, p2k_on_sq, ahat_on_L, ahat_on_sq)

@@ -19,9 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
 
-from .bernoulli import bernoulli_abs, tangent_number
 from .exact import BezoutPair, gcd_with_square, nu2
 from .plumbing import lambda_k, profile, require_bezout_for
 
@@ -183,7 +181,7 @@ def generator_invariants(
         vec = InvariantVector(
             sigma=prof.sigma,
             ahat=-2 * prof.num4,
-            p_top=2 * factorial(2 * m - 1) * prof.j,
+            p_top=2 * prof.fact * prof.j,
             p_half_sq=0,
         )
         return LatticeBasis(m, ord, variant, (("(sigma/8)*P", vec),))
@@ -192,9 +190,7 @@ def generator_invariants(
     pk = profile(k)
     bezout = require_bezout_for(m, bezout)
     c, d = bezout.c, bezout.d
-    f2k = factorial(2 * k - 1)
-    f4k = factorial(4 * k - 1)
-    g1 = InvariantVector(prof.sigma, -prof.num4, f4k * prof.j, 0)
+    g1 = InvariantVector(prof.sigma, -prof.num4, prof.fact * prof.j, 0)
 
     weight = (
         Fraction(ord.value * pk.a**2, lambda_k(k))
@@ -202,12 +198,12 @@ def generator_invariants(
         else Fraction(ord.value * pk.a**2 * lambda_k(k))
     )
     b4k = Fraction(pk.num4, pk.j)  # |B_{2k}| / 4k
-    x = b4k * (bernoulli_abs(k) / bernoulli_abs(2 * k) + (-1) ** (k + 1))
-    tk = tangent_number(k)
-    sigma2 = weight * (Fraction(tk**2, 2) - 2 * prof.sigma * d * x)
+    ratio = Fraction(pk.num4 * prof.j, 2 * prof.num4 * pk.j)  # |B_{2k}| / |B_{4k}|
+    x = b4k * (ratio + (-1) ** (k + 1))
+    sigma2 = weight * (Fraction(pk.tangent**2, 2) - 2 * prof.sigma * d * x)
     ahat2 = 2 * weight * prof.num4 * d * x
-    ptop2 = weight * (f2k**2 + f4k * prof.j * b4k * (c * b4k + 2 * d * (-1) ** k))
-    psq2 = 2 * weight * f2k**2
+    ptop2 = weight * (pk.fact**2 + prof.fact * prof.j * b4k * (c * b4k + 2 * d * (-1) ** k))
+    psq2 = 2 * weight * pk.fact**2
     g2 = InvariantVector(
         _exact_int(sigma2, "second generator sigma"),
         _exact_int(ahat2, "second generator ahat"),

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .bernoulli import bernoulli_abs, bernoulli_record, tangent_number
+from .bernoulli import bernoulli_record, tangent_number
 from .exact import BezoutPair, normalize_bezout
 
 __all__ = [
@@ -71,8 +71,10 @@ class DimensionProfile:
 
     ``a = a_m`` (2 iff ``m`` is odd), ``sigma = sigma_m`` is the minimal
     positive signature of an almost parallelizable ``4m``-manifold,
-    ``num4 / j`` is the reduced ``|B_{2m}|/4m``, and ``bezout`` is the
-    canonical (normalized) Bezout pair ``c num4 + d j = 1`` for it.
+    ``num4 / j`` is the reduced ``|B_{2m}|/4m``, ``bezout`` is the
+    canonical (normalized) Bezout pair ``c num4 + d j = 1`` for it,
+    ``fact = (2m-1)!`` and ``tangent = T_m`` (the engine's memoized int).
+    ``genera``, ``lattices`` and ``bundles`` read Bernoulli data only from here.
     """
 
     m: int
@@ -81,6 +83,8 @@ class DimensionProfile:
     num4: int
     j: int
     bezout: BezoutPair
+    fact: int
+    tangent: int
 
 
 _profiles: dict[int, DimensionProfile] = {}
@@ -95,7 +99,10 @@ def profile(m: int) -> DimensionProfile:
         raise ValueError("m must be >= 1")
     rec = bernoulli_record(m)
     bezout = normalize_bezout(rec.num4, rec.j)
-    prof = DimensionProfile(m, a_m(m), sigma_m(m, rec.num4), rec.num4, rec.j, bezout)
+    prof = DimensionProfile(
+        m, a_m(m), sigma_m(m, rec.num4), rec.num4, rec.j, bezout,
+        factorial(2 * m - 1), tangent_number(m),
+    )
     return _profiles.setdefault(m, prof)
 
 
@@ -159,10 +166,9 @@ def s_of_Q_formulas(k: int, bezout: BezoutPair | None = None) -> tuple[Fraction,
         + pk.a**2 * p2k.sigma * pk.num4 * (c * pk.num4 + 2 * (-1) ** k * d * pk.j)
     )
     b4k = Fraction(pk.num4, pk.j)  # |B_{2k}| / 4k
-    ratio = bernoulli_abs(k) / bernoulli_abs(2 * k)
-    tk = tangent_number(k)
+    ratio = Fraction(pk.num4 * p2k.j, 2 * p2k.num4 * pk.j)  # |B_{2k}| / |B_{4k}|
     second = Fraction(lam**2 * pk.a**2, 4) * (
-        p2k.sigma * d * b4k * (ratio + (-1) ** (k + 1)) - Fraction(tk**2, 4)
+        p2k.sigma * d * b4k * (ratio + (-1) ** (k + 1)) - Fraction(pk.tangent**2, 4)
     )
     return first, second
 

@@ -42,7 +42,7 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from math import factorial, gcd
+from math import gcd
 from pathlib import Path
 
 from . import bundles, genera, lattices, plumbing
@@ -345,15 +345,9 @@ def _check_identities(payload: tuple[int]) -> tuple[int, list[dict]]:
 
     run("nu2_sigma_law", lambda: nu2(prof.sigma) == 2 * m + 1 + nu2(prof.a))
     run("s_closed_forms", lambda: genera.s(m) is not None)
-    run(
-        "stolz_no_p_top",
-        lambda: genera.stolz_class_coeffs(m, prof.bezout).coeff_p_top == 0,
-    )
+    run("stolz_no_p_top", lambda: genera.stolz_class_coeffs(m).coeff_p_top == 0)
     if m % 2:
-        run(
-            "stolz_odd_vanishes",
-            lambda: genera.stolz_class_coeffs(m, prof.bezout).coeff_p_half_sq == 0,
-        )
+        run("stolz_odd_vanishes", lambda: genera.stolz_class_coeffs(m).coeff_p_half_sq == 0)
 
     # one build per basis; a raise is not cached, so each identity still reports it
     @cache
@@ -456,9 +450,7 @@ def _check_identities(payload: tuple[int]) -> tuple[int, list[dict]]:
         def proof_identity_first() -> bool:
             c, d = prof.bezout.c, prof.bezout.d
             lhs = genera.s(m) / 2
-            rhs = Fraction(prof.sigma * d, 2 * factorial(2 * m - 1)) - Fraction(
-                prof.sigma * c, 1
-            ) * genera.shat(m) / 2
+            rhs = Fraction(prof.sigma * d, 2 * prof.fact) - prof.sigma * c * genera.shat(m) / 2
             return lhs == rhs
 
         run("half_s_identity", proof_identity_first)

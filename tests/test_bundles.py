@@ -119,6 +119,10 @@ class TestDuality:
                 for j in range(n):
                     assert mat[i][j] == (1 if i == j else 0)
 
+    def test_no_lattice_at_m_1(self):
+        with pytest.raises(ValueError, match="m must be >= 2"):
+            pairing_matrix(1)
+
     def test_identity_matrix_with_shifted_bezout(self):
         for m in (2, 4, 6, 10):
             shifted = canonical_bezout(m).shifted(2)

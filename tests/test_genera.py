@@ -84,6 +84,10 @@ class TestStolzClassCoeffs:
         g = stolz_class_coeffs(2, canonical_bezout(2))
         assert g.evaluate(0, 32) == 8
 
+    def test_default_pair_is_the_canonical_one(self):
+        for m in range(1, 41):
+            assert stolz_class_coeffs(m) == stolz_class_coeffs(m, canonical_bezout(m))
+
     def test_wrong_bezout_pair_rejected(self):
         with pytest.raises(ValueError):
             stolz_class_coeffs(2, normalize_bezout(1, 24))

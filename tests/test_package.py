@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -51,3 +52,26 @@ print(sorted(m for m in sys.modules if m.split(".")[0] in ("multiprocessing", "c
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def _tree(mod) -> ast.Module:
+    return ast.parse(Path(mod.__file__).read_text())
+
+
+def test_bernoulli_data_and_factorials_come_from_the_profile():
+    # genera, lattices and bundles read T_m and |B_2m| through plumbing.profile,
+    # and lattices, bundles and verify read (2m-1)! there too
+    for mod in (genera, lattices, bundles):
+        imported = {
+            node.module
+            for node in ast.walk(_tree(mod))
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+        }
+        assert "bernoulli" not in imported, mod.__name__
+    for mod in (lattices, bundles, verify):
+        names = {
+            getattr(node, "id", None) or getattr(node, "attr", None) or node.name
+            for node in ast.walk(_tree(mod))
+            if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+        }
+        assert "factorial" not in names, mod.__name__

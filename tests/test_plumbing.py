@@ -1,10 +1,11 @@
 from dataclasses import fields
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
 import pytest
 
 from hclat import plumbing
+from hclat.bernoulli import tangent_number
 from hclat.bundles import kappa_basis
 from hclat.exact import nu2
 from hclat.genera import stolz_class_coeffs
@@ -22,6 +23,8 @@ from hclat.plumbing import (
     stolz_s,
 )
 
+from oracles import tangent_oracle
+
 
 class TestProfile:
     def test_sigma_table(self):
@@ -33,7 +36,14 @@ class TestProfile:
 
     def test_fields(self):
         names = [f.name for f in fields(DimensionProfile)]
-        assert names == ["m", "a", "sigma", "num4", "j", "bezout"]
+        assert names == ["m", "a", "sigma", "num4", "j", "bezout", "fact", "tangent"]
+
+    def test_factorial_and_tangent_fields(self):
+        for m in range(1, 61):
+            prof = profile(m)
+            assert prof.fact == factorial(2 * m - 1)
+            assert prof.tangent is tangent_number(m)
+            assert prof.tangent == tangent_oracle(m)
 
     @pytest.mark.parametrize("m", [3, 6, 9, 200, 201])
     def test_canonical_bezout_is_the_profile_pair(self, m):
