@@ -33,7 +33,7 @@ from .lattices import (
     minimal_ahat,
     minimal_signature,
 )
-from .plumbing import lambda_k, profile, require_bezout_for
+from .plumbing import _bezout_terms, lambda_k, profile, require_bezout_for
 
 __all__ = [
     "KappaExpression",
@@ -57,7 +57,11 @@ class KappaExpression:
 
 def pairing(expr: KappaExpression, v: InvariantVector) -> Fraction:
     """Evaluate the expression on a bordism class with the given numbers."""
-    return expr.coeff_p_top * v.p_top + expr.coeff_p_half_sq * v.p_half_sq
+    top, half = expr.coeff_p_top, expr.coeff_p_half_sq
+    return Fraction(
+        top.numerator * half.denominator * v.p_top + half.numerator * top.denominator * v.p_half_sq,
+        top.denominator * half.denominator,
+    )
 
 
 def bundle_signature_divisor(m: int, ord: OrdParameter | int = 1) -> int:
@@ -82,6 +86,34 @@ def signature_4_realizable(m: int) -> bool:
     return m in (1, 2, 4)
 
 
+def _kappa_terms(
+    m: int, ord: OrdParameter | int, bezout: BezoutPair | None
+) -> list[tuple[int, int, int]]:
+    """The kappa basis as rows ``(top num, half num, den)`` over one unreduced denominator."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    ord = _as_ord(ord, m)
+    if m == 1:
+        if bezout is not None:
+            require_bezout_for(m, bezout)
+        return [(1, 0, 12)]
+    bezout = require_bezout_for(m, bezout)
+    prof = profile(m)
+    dm = prof.fact * prof.j
+    if m % 2:
+        return [(1, 0, 2 * dm)]
+    k = m // 2
+    pk = profile(k)
+    y, _ = _bezout_terms(k, bezout)
+    # 1/((4k-1)! j_2k) and -1/(2 (4k-1)! j_2k) - y / (2 (2k-1)!^2 j_k^2), over
+    # 2 (4k-1)! j_2k j_k^2 since (2k-1)!^2 divides (4k-1)!; y carries the pair
+    jk2 = pk.j**2
+    q = prof.fact // pk.fact**2
+    mixed = (2 * jk2, -(jk2 + q * prof.j * y), 2 * dm * jk2)
+    pure = (0, 1, 2 * lambda_k(k) * pk.a**2 * ord.value * pk.fact**2)
+    return [mixed, pure]
+
+
 def kappa_basis(
     m: int,
     ord: OrdParameter | int = 1,
@@ -97,30 +129,12 @@ def kappa_basis(
 
     ``bezout`` picks the representative entering the mixed expression
     (canonical pair by default); any valid pair gives a basis of the same
-    lattice of functionals.
+    lattice of functionals.  A pair is checked against ``m`` in every case.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    ord = _as_ord(ord, m)
-    if m == 1:
-        return [KappaExpression(Fraction(1, 12), Fraction(0))]
-    prof = profile(m)
-    if m % 2:
-        return [KappaExpression(Fraction(1, 2 * prof.fact * prof.j), Fraction(0))]
-    k = m // 2
-    bezout = require_bezout_for(m, bezout)
-    pk = profile(k)
-    b4k = Fraction(pk.num4, pk.j)
-    mixed = KappaExpression(
-        Fraction(1, prof.fact * prof.j),
-        -Fraction(1, 2 * prof.fact * prof.j)
-        - b4k * (bezout.c * b4k + 2 * bezout.d * (-1) ** k) / (2 * pk.fact**2),
-    )
-    pure = KappaExpression(
-        Fraction(0),
-        Fraction(1, 2 * lambda_k(k) * pk.a**2 * ord.value * pk.fact**2),
-    )
-    return [mixed, pure]
+    return [
+        KappaExpression(Fraction(tn, den), Fraction(hn, den))
+        for tn, hn, den in _kappa_terms(m, ord, bezout)
+    ]
 
 
 def pairing_matrix(
@@ -135,9 +149,12 @@ def pairing_matrix(
     and unimodularity statement at lattice level.  Needs ``m >= 2``: at
     ``m = 1`` there is a kappa basis but no lattice, and ValueError is raised.
     """
-    exprs = kappa_basis(m, ord, bezout)
+    terms = _kappa_terms(m, ord, bezout)
     basis = generator_invariants(m, ord, "signature_in_4Z", bezout)
-    return [[pairing(e, vec) for _, vec in basis.generators] for e in exprs]
+    return [
+        [Fraction(tn * v.p_top + hn * v.p_half_sq, den) for _, v in basis.generators]
+        for tn, hn, den in terms
+    ]
 
 
 @dataclass(frozen=True)

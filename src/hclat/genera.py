@@ -17,12 +17,17 @@ character ph, and the product (A-hat * ph) therefore reduce in degree
 with the coefficient constants
 
     shat_n = -(1/(2n-1)!) |B_{2n}|/4n
-    s_n    = -2^{2n+1}(2^{2n-1}-1) shat_n = sigma_n / (a_n (2n-1)! j_n),
+    s_n    = -2^{2n+1}(2^{2n-1}-1) shat_n = sigma_n / (a_n (2n-1)! j_n)
+           = (2^{2n-1}-1) T_n / ((2n-1)! (2^{2n}-1)),
 
 where ``sigma_n = a_n 2^{2n+1}(2^{2n-1}-1) num(|B_{2n}|/4n)`` is the minimal
-positive signature of an almost parallelizable ``4n``-manifold and ``a_n``
-is 2 for odd ``n`` and 1 otherwise.  Both closed forms of ``s_n`` are
-evaluated and compared whenever it is computed.
+positive signature of an almost parallelizable ``4n``-manifold, ``a_n``
+is 2 for odd ``n`` and 1 otherwise, and ``T_n`` is the tangent number.
+Whenever ``s_n`` is computed, the ``sigma_n`` form and the raw-tangent form
+are compared by cross-multiplication.
+
+Each coefficient is built from the profile's integers as one numerator
+over one denominator and reduced once, when the ``Fraction`` is made.
 
 The signature-defect combination
 
@@ -40,7 +45,13 @@ from fractions import Fraction
 from math import factorial
 
 from .exact import BezoutPair
-from .plumbing import profile, require_bezout_for, sigma_over_a
+from .plumbing import (
+    DimensionProfile,
+    _bezout_terms,
+    profile,
+    require_bezout_for,
+    sigma_over_a,
+)
 
 __all__ = [
     "GENERA",
@@ -72,12 +83,30 @@ class GenusCoefficients:
         return self.coeff_p_top * p_top + self.coeff_p_half_sq * p_half_sq
 
 
+_ZERO = Fraction(0)
+
+
+def _s_terms(prof: DimensionProfile) -> tuple[int, int]:
+    """``s_n`` as the unreduced ``(sigma_n, a_n (2n-1)! j_n)``, for ``n = prof.m``.
+
+    It is first compared with the raw-tangent form
+    ``(2^{2n-1}-1) T_n / ((2n-1)! (2^{2n}-1))`` by cross-multiplication
+    (the common ``(2n-1)!`` cancelled); a mismatch means the Bernoulli data
+    is corrupted and raises RuntimeError.
+    """
+    n = prof.m
+    lhs = prof.sigma * ((1 << (2 * n)) - 1)
+    if lhs != prof.a * prof.j * ((1 << (2 * n - 1)) - 1) * prof.tangent:
+        raise RuntimeError(f"the two closed forms of s_{n} disagree")
+    return prof.sigma, prof.a * prof.fact * prof.j
+
+
 def shat(n: int) -> Fraction:
     """``shat_n = -(1/(2n-1)!) |B_{2n}|/4n``; e.g. ``shat(1) == -1/24``."""
     if n < 1:
         raise ValueError("n must be >= 1")
     prof = profile(n)
-    return -Fraction(prof.num4, prof.j * prof.fact)
+    return Fraction(-prof.num4, prof.j * prof.fact)
 
 
 def s(n: int) -> Fraction:
@@ -88,12 +117,7 @@ def s(n: int) -> Fraction:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    prof = profile(n)
-    via_shat = -sigma_over_a(n) * shat(n)
-    via_sigma = Fraction(prof.sigma, prof.a * prof.fact * prof.j)
-    if via_shat != via_sigma:
-        raise RuntimeError(f"the two closed forms of s_{n} disagree")
-    return via_shat
+    return Fraction(*_s_terms(profile(n)))
 
 
 def genus_coeffs(genus: str, m: int) -> GenusCoefficients:
@@ -105,25 +129,41 @@ def genus_coeffs(genus: str, m: int) -> GenusCoefficients:
         raise ValueError(f"unknown genus {genus!r}; expected one of {GENERA}")
     if m < 1:
         raise ValueError("m must be >= 1")
-    zero = Fraction(0)
+    # ph needs no Bernoulli data: its factorials come from math, not from a profile
     if m % 2:
         if genus == "L":
             top = s(m)
         elif genus == "Ahat":
             top = shat(m)
         else:  # Ph and AhatPh coincide in odd degree
-            top = Fraction((-1) ** (m + 1), factorial(2 * m - 1))
-        return GenusCoefficients(m, top, zero)
+            top = Fraction(1, factorial(2 * m - 1))
+        return GenusCoefficients(m, top, _ZERO)
+    # (2k-1)!^2 divides (4k-1)!, so with q = (4k-1)!/(2k-1)!^2 each half coefficient
+    # has a common denominator of the size of (4k-1)!, not of (4k-1)! (2k-1)!^2
     k = m // 2
+    if genus in ("Ph", "AhatPh"):
+        f4k = factorial(4 * k - 1)
+        if genus == "Ph":
+            return GenusCoefficients(m, Fraction(-1, f4k), Fraction(1, 2 * f4k))
+        # (-1)^{k+1} shat_k / (2k-1)! + 1/(2 (4k-1)!)
+        pk = profile(k)
+        q = f4k // pk.fact**2
+        half = Fraction(2 * (-1) ** k * pk.num4 * q + pk.j, 2 * pk.j * f4k)
+        return GenusCoefficients(m, Fraction(-1, f4k), half)
+    pk, pm = profile(k), profile(m)
+    q = pm.fact // pk.fact**2
     if genus == "L":
-        return GenusCoefficients(m, s(2 * k), (s(k) ** 2 - s(2 * k)) / 2)
-    if genus == "Ahat":
-        return GenusCoefficients(m, shat(2 * k), (shat(k) ** 2 - shat(2 * k)) / 2)
-    f4k = factorial(4 * k - 1)
-    if genus == "Ph":
-        return GenusCoefficients(m, -Fraction(1, f4k), Fraction(1, 2 * f4k))
-    half = Fraction((-1) ** (k + 1), profile(k).fact) * shat(k) + Fraction(1, 2 * f4k)
-    return GenusCoefficients(m, -Fraction(1, f4k), half)
+        # (s_k^2 - s_{2k}) / 2, with s_k = nk / (a_k (2k-1)! j_k)
+        nk, _ = _s_terms(pk)
+        nm, dm = _s_terms(pm)
+        ajk2 = (pk.a * pk.j) ** 2
+        half = Fraction(nk**2 * pm.j * q - nm * ajk2, 2 * ajk2 * dm)
+        return GenusCoefficients(m, Fraction(nm, dm), half)
+    # (shat_k^2 - shat_{2k}) / 2
+    dm = pm.j * pm.fact
+    jk2 = pk.j**2
+    half = Fraction(pk.num4**2 * pm.j * q + pm.num4 * jk2, 2 * jk2 * dm)
+    return GenusCoefficients(m, Fraction(-pm.num4, dm), half)
 
 
 def stolz_class_coeffs(m: int, bezout: BezoutPair | None = None) -> GenusCoefficients:
@@ -139,20 +179,23 @@ def stolz_class_coeffs(m: int, bezout: BezoutPair | None = None) -> GenusCoeffic
     if m < 1:
         raise ValueError("m must be >= 1")
     bezout = require_bezout_for(m, bezout)
-    gl = genus_coeffs("L", m)
-    ga = genus_coeffs("Ahat", m)
-    gap = genus_coeffs("AhatPh", m)
-    factor = sigma_over_a(m, profile(m).num4)
-    sign = (-1) ** m
-    top = gl.coeff_p_top + factor * (
-        bezout.c * ga.coeff_p_top + sign * bezout.d * gap.coeff_p_top
-    )
-    half = gl.coeff_p_half_sq + factor * (
-        bezout.c * ga.coeff_p_half_sq + sign * bezout.d * gap.coeff_p_half_sq
-    )
-    if top != 0:
-        raise RuntimeError(f"S_{m} acquired a nonzero p_top coefficient: {top}")
-    return GenusCoefficients(m, top, half)
+    prof = profile(m)
+    factor = sigma_over_a(m, prof.num4)
+    # p_top over a_m (2m-1)! j_m: s_m from L, c shat_m from Ahat, and
+    # (-1)^m d (Ahat ph)_m = -d/(2m-1)! in either parity
+    num, den = _s_terms(prof)
+    top = num - prof.a * factor * (bezout.c * prof.num4 + bezout.d * prof.j)
+    if top:
+        raise RuntimeError(f"S_{m} acquired a nonzero p_top coefficient: {Fraction(top, den)}")
+    if m % 2:
+        return GenusCoefficients(m, _ZERO, _ZERO)
+    # the s_{2k} terms of L, Ahat and Ahat ph cancel by c num4 + d j = 1, leaving
+    # s_k^2/2 + factor (c shat_k^2/2 + (-1)^k d num4_k / (j_k (2k-1)!^2))
+    k = m // 2
+    pk = profile(k)
+    nk, dk = _s_terms(pk)
+    y, _ = _bezout_terms(k, bezout)
+    return GenusCoefficients(m, _ZERO, Fraction(nk**2 + pk.a**2 * factor * y, 2 * dk**2))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .exact import BezoutPair, gcd_with_square, nu2
-from .plumbing import lambda_k, profile, require_bezout_for
+from .plumbing import _bezout_terms, lambda_k, profile, require_bezout_for
 
 __all__ = [
     "VARIANTS",
@@ -145,10 +145,12 @@ def kernel_structure(m: int, ord: OrdParameter | int = 1) -> KernelStructure:
     return KernelStructure(1, (2,))
 
 
-def _exact_int(x: Fraction, what: str) -> int:
-    if x.denominator != 1:
-        raise RuntimeError(f"{what} is not an integer: {x}")
-    return x.numerator
+def _exact_int(num: int, den: int, what: str) -> int:
+    """``num / den`` for ``den > 0``; RuntimeError unless it is an integer."""
+    q, r = divmod(num, den)
+    if r:
+        raise RuntimeError(f"{what} is not an integer: {Fraction(num, den)}")
+    return q
 
 
 def generator_invariants(
@@ -169,13 +171,15 @@ def generator_invariants(
 
     ``bezout`` selects the representative used in the second generator;
     default is the canonical normalized pair.  Different representatives
-    give different generators of the same lattice.
+    give different generators of the same lattice.  A pair is checked
+    against ``m`` in every case.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
     ord = _as_ord(ord, m)
+    bezout = require_bezout_for(m, bezout)
     prof = profile(m)
     if m % 2:
         vec = InvariantVector(
@@ -188,27 +192,27 @@ def generator_invariants(
 
     k = m // 2
     pk = profile(k)
-    bezout = require_bezout_for(m, bezout)
-    c, d = bezout.c, bezout.d
     g1 = InvariantVector(prof.sigma, -prof.num4, prof.fact * prof.j, 0)
 
-    weight = (
-        Fraction(ord.value * pk.a**2, lambda_k(k))
-        if variant == "full_kernel"
-        else Fraction(ord.value * pk.a**2 * lambda_k(k))
-    )
-    b4k = Fraction(pk.num4, pk.j)  # |B_{2k}| / 4k
-    ratio = Fraction(pk.num4 * prof.j, 2 * prof.num4 * pk.j)  # |B_{2k}| / |B_{4k}|
-    x = b4k * (ratio + (-1) ** (k + 1))
-    sigma2 = weight * (Fraction(pk.tangent**2, 2) - 2 * prof.sigma * d * x)
-    ahat2 = 2 * weight * prof.num4 * d * x
-    ptop2 = weight * (pk.fact**2 + prof.fact * prof.j * b4k * (c * b4k + 2 * d * (-1) ** k))
-    psq2 = 2 * weight * pk.fact**2
+    # the weight is wn / wd; y and x carry the Bezout pair (plumbing._bezout_terms)
+    wn, wd = ord.value * pk.a**2, lambda_k(k)
+    if variant != "full_kernel":
+        wn, wd = wn * wd, 1
+    y, x = _bezout_terms(k, bezout)
+    jk2, fk2 = pk.j**2, pk.fact**2
+    t2 = prof.num4 * jk2
     g2 = InvariantVector(
-        _exact_int(sigma2, "second generator sigma"),
-        _exact_int(ahat2, "second generator ahat"),
-        _exact_int(ptop2, "second generator p_top"),
-        _exact_int(psq2, "second generator p_half_sq"),
+        # weight (T_k^2/2 - sigma_2k x / (num4_2k j_k^2))
+        _exact_int(
+            wn * (pk.tangent**2 * t2 - 2 * prof.sigma * x), 2 * wd * t2, "second generator sigma"
+        ),
+        # weight x / j_k^2
+        _exact_int(wn * x, wd * jk2, "second generator ahat"),
+        # weight ((2k-1)!^2 + (4k-1)! j_2k y / j_k^2)
+        _exact_int(
+            wn * (fk2 * jk2 + prof.fact * prof.j * y), wd * jk2, "second generator p_top"
+        ),
+        _exact_int(2 * wn * fk2, wd, "second generator p_half_sq"),
     )
     if k == 1:
         label = "HP2" if variant == "full_kernel" else "4*HP2"

@@ -146,6 +146,42 @@ def pk2_of_Q(k: int) -> int:
     return 2 * lambda_k(k) ** 2 * a_m(k) ** 2 * factorial(2 * k - 1) ** 2
 
 
+def _bezout_terms(k: int, bezout: BezoutPair) -> tuple[int, int]:
+    """``(y, x)`` with ``b (c b + 2(-1)^k d) = y / j_k^2`` and
+    ``d b (|B_{2k}|/|B_{4k}| + (-1)^{k+1}) = x / (2 num4_{2k} j_k^2)``, where
+    ``b = |B_{2k}|/4k = num4_k / j_k`` and ``(c, d)`` is the pair for ``m = 2k``.
+
+    These two Bezout-weighted terms enter the second lattice generator, the
+    mixed kappa expression and both formulas for ``s(Q)``.
+    """
+    pk, p2k = profile(k), profile(2 * k)
+    sign = (-1) ** k
+    y = pk.num4 * (bezout.c * pk.num4 + 2 * sign * bezout.d * pk.j)
+    x = bezout.d * pk.num4 * (pk.num4 * p2k.j - 2 * sign * p2k.num4 * pk.j)
+    return y, x
+
+
+def _s_of_Q_terms(k: int, bezout: BezoutPair | None) -> tuple[int, int, int, int]:
+    """``(n1, d1, n2, d2)``: the two formulas for ``s(Q)`` as ``n1/d1`` and ``n2/d2``, unreduced."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    bezout = require_bezout_for(2 * k, bezout)
+    pk = profile(k)
+    p2k = profile(2 * k)
+    y, x = _bezout_terms(k, bezout)
+    lam2 = lambda_k(k) ** 2
+    jk2 = pk.j**2
+    t2 = p2k.num4 * jk2
+    return (
+        # -(lam^2 / 8 j_k^2)(sigma_k^2 + a_k^2 sigma_2k y)
+        -lam2 * (pk.sigma**2 + pk.a**2 * p2k.sigma * y),
+        8 * jk2,
+        # (lam^2 a_k^2 / 4)(sigma_2k x / (2 num4_2k j_k^2) - T_k^2 / 4)
+        lam2 * pk.a**2 * (2 * p2k.sigma * x - pk.tangent**2 * t2),
+        16 * t2,
+    )
+
+
 def s_of_Q_formulas(k: int, bezout: BezoutPair | None = None) -> tuple[Fraction, Fraction]:
     """Both closed formulas for the splitting invariant of Q in dimension 8k.
 
@@ -154,48 +190,38 @@ def s_of_Q_formulas(k: int, bezout: BezoutPair | None = None) -> tuple[Fraction,
     Either one, for a valid pair, is an integer, but that is not assumed
     here; the raw fractions are returned for cross-checking.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    bezout = require_bezout_for(2 * k, bezout)
-    pk = profile(k)
-    p2k = profile(2 * k)
-    lam = lambda_k(k)
-    c, d = bezout.c, bezout.d
-    first = -Fraction(lam**2, 8 * pk.j**2) * (
-        pk.sigma**2
-        + pk.a**2 * p2k.sigma * pk.num4 * (c * pk.num4 + 2 * (-1) ** k * d * pk.j)
-    )
-    b4k = Fraction(pk.num4, pk.j)  # |B_{2k}| / 4k
-    ratio = Fraction(pk.num4 * p2k.j, 2 * p2k.num4 * pk.j)  # |B_{2k}| / |B_{4k}|
-    second = Fraction(lam**2 * pk.a**2, 4) * (
-        p2k.sigma * d * b4k * (ratio + (-1) ** (k + 1)) - Fraction(pk.tangent**2, 4)
-    )
-    return first, second
+    n1, d1, n2, d2 = _s_of_Q_terms(k, bezout)
+    return Fraction(n1, d1), Fraction(n2, d2)
 
 
 def s_of_Q(m: int, bezout: BezoutPair | None = None) -> int:
     """The splitting invariant of Q in dimension ``4m``.
 
-    Returns 0 for odd ``m``.  For ``m = 2k`` both formulas are evaluated
-    with the given Bezout pair (the canonical one when omitted) and must
-    agree on an integer; any discrepancy raises RuntimeError since it can
-    only come from an implementation bug.  The integer itself depends on
+    Returns 0 for odd ``m``, after checking ``bezout`` when one is given.
+    For ``m = 2k`` both formulas are evaluated with the given Bezout pair
+    (the canonical one when omitted) and must agree on an integer; any
+    discrepancy raises RuntimeError since it can only come from an
+    implementation bug.  The integer itself depends on
     the chosen Bezout representative; only its residue modulo
     ``sigma_m / 8`` is canonical.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
     if m % 2:
+        if bezout is not None:
+            require_bezout_for(m, bezout)
         return 0
     k = m // 2
-    first, second = s_of_Q_formulas(k, bezout)
-    if first != second:
+    n1, d1, n2, d2 = _s_of_Q_terms(k, bezout)
+    if n1 * d2 != n2 * d1:
         raise RuntimeError(
-            f"the two formulas for s(Q) disagree at k={k}: {first} != {second}"
+            f"the two formulas for s(Q) disagree at k={k}: "
+            f"{Fraction(n1, d1)} != {Fraction(n2, d2)}"
         )
-    if first.denominator != 1:
-        raise RuntimeError(f"s(Q) at k={k} is not an integer: {first}")
-    return first.numerator
+    q, r = divmod(n1, d1)
+    if r:
+        raise RuntimeError(f"s(Q) at k={k} is not an integer: {Fraction(n1, d1)}")
+    return q
 
 
 def stolz_s(sigma_M: int, S_eval: Fraction | int) -> int:

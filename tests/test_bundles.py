@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from hclat.bundles import (
     KappaExpression,
     bundle_signature_divisor,
@@ -152,3 +153,31 @@ class TestDuality:
     def test_wrong_bezout_rejected(self):
         with pytest.raises(ValueError):
             kappa_basis(4, 1, canonical_bezout(2))
+
+
+KERNELS = [(kappa_basis, oracles.kappa_basis), (pairing_matrix, oracles.pairing_matrix)]
+
+
+class TestAgainstFractionReference:
+    """The integer kernels return what the Fraction chains in ``oracles`` return."""
+
+    @pytest.mark.parametrize("new,ref", KERNELS, ids=["kappa_basis", "pairing_matrix"])
+    def test_bezout_shifts(self, new, ref):
+        for m in range(1, 301):
+            for pair in [None] + [canonical_bezout(m).shifted(t) for t in range(-2, 3)]:
+                assert oracles.outcome(new, m, 1, pair) == oracles.outcome(ref, m, 1, pair)
+
+    @pytest.mark.parametrize("m", [1, 5, 6, 8, 10])
+    def test_ord_values(self, m):
+        for ord in oracles.ord_candidates(m):
+            for new, ref in KERNELS:
+                assert oracles.outcome(new, m, ord) == oracles.outcome(ref, m, ord)
+
+    def test_pairing(self):
+        rng = random.Random(7)
+        for m in range(1, 61):
+            exprs = kappa_basis(m, 1) + [KappaExpression(Fraction(1, 3), Fraction(-5, 14))]
+            for _ in range(3):
+                v = InvariantVector(*(rng.randint(-10**6, 10**6) for _ in range(4)))
+                for e in exprs:
+                    assert oracles.outcome(pairing, e, v) == oracles.outcome(oracles.pairing, e, v)

@@ -1,10 +1,13 @@
+from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
+import oracles
+from hclat import genera
 from hclat.exact import BezoutPair, normalize_bezout
-from hclat.genera import genus_coeffs, p2k_solve, s, shat, stolz_class_coeffs
+from hclat.genera import GENERA, genus_coeffs, p2k_solve, s, shat, stolz_class_coeffs
 from hclat.plumbing import canonical_bezout, profile
 
 
@@ -27,6 +30,16 @@ class TestCoefficientConstants:
     def test_closed_forms_agree_up_to_300(self):
         for n in range(1, 301):
             s(n)  # raises if the two closed forms disagree
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_corrupted_tangent_raises(self, n, monkeypatch):
+        # sigma_n is built from num4, so only the raw-tangent form can see T_n drift
+        bad = replace(profile(n), tangent=profile(n).tangent + 2)
+        monkeypatch.setattr(genera, "profile", lambda m: bad if m == n else profile(m))
+        with pytest.raises(RuntimeError, match=f"closed forms of s_{n} disagree"):
+            s(n)
+        with pytest.raises(RuntimeError, match=f"closed forms of s_{n} disagree"):
+            genus_coeffs("L", n)
 
 
 class TestGenusCoeffs:
@@ -52,6 +65,15 @@ class TestGenusCoeffs:
         g = genus_coeffs("Ph", 2)
         assert g.coeff_p_top == Fraction(-1, 6)
         assert g.coeff_p_half_sq == Fraction(1, 12)
+
+    def test_ph_builds_no_profile(self, monkeypatch):
+        # ph needs no Bernoulli data, so it must not start the tangent stream
+        def no_profile(m):
+            raise AssertionError(f"profile({m}) built for ph")
+
+        monkeypatch.setattr(genera, "profile", no_profile)
+        for m in range(1, 11):
+            genus_coeffs("Ph", m)
 
     def test_odd_m_has_no_half_square_part(self):
         for genus in ("L", "Ahat", "Ph", "AhatPh"):
@@ -91,6 +113,16 @@ class TestStolzClassCoeffs:
     def test_wrong_bezout_pair_rejected(self):
         with pytest.raises(ValueError):
             stolz_class_coeffs(2, normalize_bezout(1, 24))
+
+    @pytest.mark.parametrize("m", [3, 6])
+    def test_p_top_left_over_raises(self, m, monkeypatch):
+        # doubling sigma_m and T_m together keeps both forms of s_m equal, but
+        # sigma_m no longer matches num4, so the p_top terms stop cancelling
+        prof = profile(m)
+        bad = replace(prof, sigma=2 * prof.sigma, tangent=2 * prof.tangent)
+        monkeypatch.setattr(genera, "profile", lambda n: bad if n == m else profile(n))
+        with pytest.raises(RuntimeError, match=f"S_{m} acquired a nonzero p_top coefficient"):
+            stolz_class_coeffs(m)
         with pytest.raises(ValueError):
             stolz_class_coeffs(2, BezoutPair(-1, 1, 7, 8))  # valid pair, wrong moduli
 
@@ -140,3 +172,32 @@ class TestProofIdentities:
             assert prof.sigma * c == (1 << (2 * m + 1)) * ((1 << (2 * m - 1)) - 1) * (
                 1 - prof.j * d
             )
+
+
+class TestAgainstFractionReference:
+    """The integer kernels return what the Fraction chains in ``oracles`` return."""
+
+    def test_s_and_shat(self):
+        for n in range(0, 301):
+            assert oracles.outcome(s, n) == oracles.outcome(oracles.s, n)
+            assert oracles.outcome(shat, n) == oracles.outcome(oracles.shat, n)
+
+    def test_genus_coeffs(self):
+        for m in range(0, 301):
+            for genus in GENERA + ("S",):
+                assert oracles.outcome(genus_coeffs, genus, m) == oracles.outcome(
+                    oracles.genus_coeffs, genus, m
+                )
+
+    def test_stolz_class_coeffs_over_bezout_shifts(self):
+        for m in range(1, 301):
+            for pair in [None] + [canonical_bezout(m).shifted(t) for t in range(-2, 3)]:
+                assert oracles.outcome(stolz_class_coeffs, m, pair) == oracles.outcome(
+                    oracles.stolz_class_coeffs, m, pair
+                )
+
+    def test_stolz_class_coeffs_rejects_pairs_for_other_m(self):
+        for m in range(1, 41):
+            pair = canonical_bezout(m + 1)
+            expected = oracles.outcome(oracles.stolz_class_coeffs, m, pair)
+            assert oracles.outcome(stolz_class_coeffs, m, pair) == expected

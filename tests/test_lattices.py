@@ -1,12 +1,16 @@
 import random
 from collections import Counter
+from dataclasses import replace
 from math import gcd
 
 import pytest
 
+import oracles
+from hclat import lattices
 from hclat.exact import nu2
 from hclat.genera import genus_coeffs
 from hclat.lattices import (
+    VARIANTS,
     InvariantVector,
     LatticeBasis,
     OrdParameter,
@@ -131,6 +135,34 @@ class TestGeneratorInvariants:
     def test_invalid_variant(self):
         with pytest.raises(ValueError):
             generator_invariants(2, 1, "sig4")
+
+    def test_non_integral_entry_raises(self, monkeypatch):
+        # an odd T_4 makes T_4^2/2, hence the second signature at m = 8, a half-integer
+        bad = replace(profile(4), tangent=profile(4).tangent + 1)
+        monkeypatch.setattr(lattices, "profile", lambda m: bad if m == 4 else profile(m))
+        with pytest.raises(RuntimeError, match="second generator sigma is not an integer"):
+            generator_invariants(8)
+
+
+class TestGeneratorsAgainstFractionReference:
+    """The integer kernel returns what the Fraction chain in ``oracles`` returns."""
+
+    def test_variants_and_bezout_shifts(self):
+        for m in range(1, 301):
+            for variant in VARIANTS:
+                for pair in [None] + [canonical_bezout(m).shifted(t) for t in range(-2, 3)]:
+                    args = (m, 1, variant, pair)
+                    assert oracles.outcome(generator_invariants, *args) == oracles.outcome(
+                        oracles.generator_invariants, *args
+                    )
+
+    @pytest.mark.parametrize("m", [5, 6, 8, 10])
+    def test_ord_values(self, m):
+        for ord in oracles.ord_candidates(m):
+            for variant in VARIANTS:
+                assert oracles.outcome(generator_invariants, m, ord, variant) == (
+                    oracles.outcome(oracles.generator_invariants, m, ord, variant)
+                )
 
 
 class TestMinimalSignature:

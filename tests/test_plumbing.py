@@ -1,12 +1,13 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 from math import factorial, gcd
 
 import pytest
 
+import oracles
 from hclat import plumbing
 from hclat.bernoulli import tangent_number
-from hclat.bundles import kappa_basis
+from hclat.bundles import kappa_basis, pairing_matrix
 from hclat.exact import nu2
 from hclat.genera import stolz_class_coeffs
 from hclat.lattices import generator_invariants
@@ -89,6 +90,30 @@ def test_bezout_pair_for_another_m_rejected(consumer):
         f"expected the numerator/denominator ({profile(6).num4}, {profile(6).j}) "
         "of |B_12|/24"
     )
+
+
+@pytest.mark.parametrize(
+    "consumer",
+    [
+        s_of_Q,
+        lambda m, b: generator_invariants(m, 1, "full_kernel", b),
+        lambda m, b: kappa_basis(m, 1, b),
+        lambda m, b: pairing_matrix(m, 1, b),
+    ],
+    ids=["s_of_Q", "generator_invariants", "kappa_basis", "pairing_matrix"],
+)
+def test_bezout_pair_for_another_m_rejected_at_odd_m(consumer):
+    # odd m reads no Bezout pair, but a pair given for another m is still an error
+    with pytest.raises(ValueError) as expected:
+        require_bezout_for(3, canonical_bezout(4))
+    with pytest.raises(ValueError) as info:
+        consumer(3, canonical_bezout(4))
+    assert str(info.value) == str(expected.value)
+
+
+def test_kappa_basis_rejects_a_pair_for_another_m_at_m_1():
+    with pytest.raises(ValueError, match=r"of \|B_2\|/4"):
+        kappa_basis(1, 1, canonical_bezout(2))
 
 
 def test_require_bezout_for_defaults_to_the_profile_pair():
@@ -183,6 +208,22 @@ class TestSofQ:
             calls.clear()
             s_of_Q(6, pair)
             assert calls == [6]
+
+    def test_disagreeing_formulas_raise(self, monkeypatch):
+        # T_3 enters only the second formula
+        bad = replace(profile(3), tangent=profile(3).tangent + 8)
+        monkeypatch.setattr(plumbing, "profile", lambda m: bad if m == 3 else profile(m))
+        with pytest.raises(RuntimeError, match="the two formulas for s\\(Q\\) disagree at k=3"):
+            s_of_Q(6)
+
+    def test_against_fraction_reference(self):
+        for m in range(1, 301):
+            for pair in [None] + [canonical_bezout(m).shifted(t) for t in range(-2, 3)]:
+                assert oracles.outcome(s_of_Q, m, pair) == oracles.outcome(oracles.s_of_Q, m, pair)
+                if m % 2 == 0:
+                    assert oracles.outcome(s_of_Q_formulas, m // 2, pair) == oracles.outcome(
+                        oracles.s_of_Q_formulas, m // 2, pair
+                    )
 
     def test_wrong_pair_message_is_the_check_message(self):
         with pytest.raises(ValueError) as expected:
