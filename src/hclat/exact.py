@@ -103,6 +103,8 @@ def padic_valuation(x: int | Fraction, p: int) -> int:
 
 def nu2(x: int | Fraction) -> int:
     """2-adic valuation, the case of :func:`padic_valuation` used throughout."""
+    if type(x) is int and x:
+        return (x & -x).bit_length() - 1
     return padic_valuation(x, 2)
 
 

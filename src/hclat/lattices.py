@@ -11,7 +11,9 @@ low dimensions known) value is 1, which is the default everywhere.
 
 All generator vectors are exact integers and satisfy the signature and
 A-hat consistency equations against the genus coefficients, which the
-tests enforce.  Lattices are compared by exact membership in each other.
+tests enforce.  Two lattices of equal rank are compared by one containment
+and their index: if B1 = A B2 with A integral, every maximal minor of B1 is
+det(A) times B2's, so the lattices agree exactly when |det(A)| = 1.
 """
 
 from __future__ import annotations
@@ -81,12 +83,18 @@ class OrdParameter:
             )
 
 
+_ords: dict[tuple[int, int], OrdParameter] = {}
+
+
 def _as_ord(ord: "OrdParameter | int", m: int) -> OrdParameter:
+    """``ord`` checked against ``m``; an int is validated once per ``(ord, m)``."""
     if isinstance(ord, OrdParameter):
         if ord.m != m:
             raise ValueError(f"ord parameter is for m={ord.m}, not m={m}")
         return ord
-    return OrdParameter(ord, m)
+    if type(ord) is not int:  # a bool or Fraction equal to an int must not stand in for it
+        return OrdParameter(ord, m)
+    return _ords.get((ord, m)) or _ords.setdefault((ord, m), OrdParameter(ord, m))
 
 
 @dataclass(frozen=True)
@@ -274,23 +282,32 @@ def _minor(gens: list[tuple[int, ...]], idx: tuple[int, ...]) -> int:
     return g[i] * h[j] - g[j] * h[i]
 
 
-def _pivot(gens: list[tuple[int, ...]]) -> tuple[int, ...]:
-    """The first coordinates on which one or two generators have a nonzero minor."""
+def _pivot(gens: list[tuple[int, ...]]) -> tuple[tuple[int, ...], int]:
+    """The first coordinates where one or two generators have a nonzero minor, and that minor."""
     if len(gens) not in (1, 2) or not all(map(any, gens)):
         raise ValueError("a basis needs one or two nonzero generators")
     for idx in combinations(range(len(gens[0])), len(gens)):
-        if _minor(gens, idx):
-            return idx
+        det = _minor(gens, idx)
+        if det:
+            return idx, det
     raise ValueError("the two basis generators are linearly dependent")
 
 
-def _in_span(v: tuple[int, ...], gens: list[tuple[int, ...]], idx: tuple[int, ...]) -> bool:
-    """Whether v is an integer combination of gens, by Cramer's rule on the minor at idx."""
-    det = _minor(gens, idx)
+def _in_span(
+    v: tuple[int, ...], gens: list[tuple[int, ...]], idx: tuple[int, ...], det: int
+) -> bool:
+    """Whether v is an integer combination of gens, by Cramer's rule on their minor det at idx.
+
+    An integral solution matches v on the coordinates in idx, so only the others are compared.
+    """
     solved = [divmod(_minor(gens[:k] + [v] + gens[k + 1 :], idx), det) for k in range(len(gens))]
     if any(r for _, r in solved):
         return False
-    return all(a == sum(x * w[n] for (x, _), w in zip(solved, gens)) for n, a in enumerate(v))
+    return all(
+        a == sum(x * w[n] for (x, _), w in zip(solved, gens))
+        for n, a in enumerate(v)
+        if n not in idx
+    )
 
 
 def lattice_span_equal(b1: LatticeBasis, b2: LatticeBasis) -> bool:
@@ -300,11 +317,17 @@ def lattice_span_equal(b1: LatticeBasis, b2: LatticeBasis) -> bool:
     two variants is allowed and gives False whenever their lattices differ
     (at m = 2 or 4 the signature_in_4Z lattice has index 4 in the full one).
     Each basis must hold one nonzero generator or two independent ones
-    (ValueError otherwise); equal means each lies in the other's span.
+    (ValueError otherwise).  Equal means equal rank, b1 in b2's span, and
+    |minor_p(b1)| = |minor_p(b2)| at b2's pivot p: b1 = A b2 with A integral
+    gives minor_p(b1) = det(A) minor_p(b2), and the spans agree iff |det(A)| = 1.
     """
     if b1.m != b2.m:
         raise ValueError("bases must share the same m")
     v1 = [vec.as_tuple() for _, vec in b1.generators]
     v2 = [vec.as_tuple() for _, vec in b2.generators]
-    p1, p2 = _pivot(v1), _pivot(v2)
-    return all(_in_span(v, v2, p2) for v in v1) and all(_in_span(v, v1, p1) for v in v2)
+    p2, det = _pivot(v2)
+    if len(v1) != len(v2) or abs(_minor(v1, p2)) != abs(det):
+        _pivot(v1)  # a degenerate b1 raises rather than comparing unequal
+        return False
+    # a nonzero minor_p(b1) already shows b1 nondegenerate
+    return all(_in_span(v, v2, p2, det) for v in v1)

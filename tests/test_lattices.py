@@ -1,13 +1,14 @@
 import random
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from math import gcd
 
 import pytest
 
 import oracles
 from hclat import lattices
-from hclat.exact import nu2
+from hclat.exact import nu2, padic_valuation
 from hclat.genera import genus_coeffs
 from hclat.lattices import (
     VARIANTS,
@@ -399,3 +400,120 @@ class TestSpanEqualAgainstHermiteOracle:
                 lattice_span_equal(_basis(*bad), _basis(*good))
             with pytest.raises(ValueError):
                 lattice_span_equal(_basis(*good), _basis(*bad))
+
+
+class TestOneContainmentPlusIndex:
+    """Sublattices where one containment holds, so only the index tells them apart."""
+
+    @pytest.mark.parametrize(
+        "full, sub, equal",
+        [
+            ([(1, 0, 2, 0), (0, 1, 0, 3)], [(2, 0, 4, 0), (0, 1, 0, 3)], False),
+            ([(1, 0, 2, 0), (0, 1, 0, 3)], [(1, 1, 2, 3), (0, 3, 0, 9)], False),
+            ([(1, 0, 2, 0), (0, 1, 0, 3)], [(1, 2, 2, 6), (1, -1, 2, -3)], False),
+            ([(1, 0, 2, 0), (0, 1, 0, 3)], [(1, 0, 2, 0), (0, -1, 0, -3)], True),
+            ([(1, 0, 2, 0), (0, 1, 0, 3)], [(0, 1, 0, 3), (1, 0, 2, 0)], True),
+            ([(0, 0, 5, 7)], [(0, 0, 10, 14)], False),
+            ([(0, 0, 5, 7)], [(0, 0, -15, -21)], False),
+            ([(0, 0, 5, 7)], [(0, 0, -5, -7)], True),
+            ([(3, 1 << 80, 0, 1)], [(6, 1 << 81, 0, 2)], False),
+        ],
+        ids=[
+            "index_2",
+            "index_3",
+            "index_3_skew",
+            "sign_flip",
+            "swap",
+            "index_2_rank_1",
+            "index_3_rank_1_negated",
+            "sign_flip_rank_1",
+            "index_2_big",
+        ],
+    )
+    def test_both_argument_orders(self, full, sub, equal):
+        assert all(hermite_normal_form(full + [v]) == hermite_normal_form(full) for v in sub)
+        assert (hermite_normal_form(full) == hermite_normal_form(sub)) == equal
+        assert lattice_span_equal(_basis(*full), _basis(*sub)) == equal
+        assert lattice_span_equal(_basis(*sub), _basis(*full)) == equal
+
+    @pytest.mark.parametrize(
+        "one, two",
+        [
+            ([(1, 0, 0, 0)], [(1, 0, 0, 0), (0, 1, 0, 0)]),
+            ([(0, 0, 0, 9)], [(0, 0, 1, 0), (0, 0, 0, 9)]),
+            ([(2, 4, 6, 8)], [(1, 2, 3, 4), (0, 0, 0, 1)]),
+        ],
+    )
+    def test_rank_one_against_rank_two(self, one, two):
+        assert not lattice_span_equal(_basis(*one), _basis(*two))
+        assert not lattice_span_equal(_basis(*two), _basis(*one))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [(0, 0, 0, 0)],
+            [(0, 0, 0, 0), (1, 0, 0, 0)],
+            [(2, 4, 6, 8), (1, 2, 3, 4)],
+            [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)],
+            [],
+        ],
+        ids=["zero", "zero_first", "dependent", "three_generators", "empty"],
+    )
+    @pytest.mark.parametrize(
+        "good",
+        [
+            [(1, 0, 0, 0)],
+            [(3, 0, 0, 0)],
+            [(1, 0, 0, 0), (0, 1, 0, 0)],
+            [(2, 0, 0, 0), (0, 1, 0, 0)],
+            [(2, 4, 6, 8), (0, 0, 0, 1)],
+        ],
+        ids=["rank_1", "rank_1_index_3", "rank_2", "rank_2_index_2", "rank_2_through_bad"],
+    )
+    def test_degenerate_basis_raises_where_the_index_test_says_false(self, bad, good):
+        with pytest.raises(ValueError):
+            lattice_span_equal(_basis(*bad), _basis(*good))
+        with pytest.raises(ValueError):
+            lattice_span_equal(_basis(*good), _basis(*bad))
+
+
+class TestOrdCache:
+    def test_valid_int_built_once(self):
+        assert lattices._as_ord(1, 6) is lattices._as_ord(1, 6)
+        assert lattices._as_ord(7, 6) is lattices._as_ord(7, 6)
+        assert lattices._as_ord(7, 6) == OrdParameter(7, 6)
+        assert lattices._as_ord(1, 8) is not lattices._as_ord(1, 6)
+
+    @pytest.mark.parametrize("ord, m", [(11, 6), (2, 3), (0, 6), (32, 5), (-1, 8)])
+    def test_invalid_int_raises_every_time(self, ord, m):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                lattices._as_ord(ord, m)
+        with pytest.raises(ValueError):
+            generator_invariants(m, ord)
+
+    def test_parameter_for_another_m_rejected(self):
+        lattices._as_ord(1, 6)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="m=6, not m=8"):
+                lattices._as_ord(OrdParameter(1, 6), 8)
+
+    def test_equal_non_int_does_not_replace_the_int(self):
+        assert lattices._as_ord(True, 10).value is True
+        assert type(lattices._as_ord(1, 10).value) is int
+
+
+class TestNu2FastPath:
+    def test_agrees_with_padic_valuation(self):
+        rng = random.Random(2018)
+        values = [1, -1, 2, -2, 12, -12, -(1 << 300), 3 << 1000, -(5 << 4000) * 7, True]
+        values += [rng.randint(-(1 << 500), 1 << 500) or 1 for _ in range(200)]
+        values += [Fraction(3, 8), Fraction(-40, 3), Fraction(1 << 90, 7), Fraction(-5)]
+        for x in values:
+            assert nu2(x) == padic_valuation(x, 2), x
+            assert type(nu2(x)) is int
+
+    def test_zero_raises(self):
+        for zero in (0, Fraction(0), False):
+            with pytest.raises(ValueError):
+                nu2(zero)
