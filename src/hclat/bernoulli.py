@@ -7,16 +7,16 @@ computed column by column with Brent and Harvey's TangentNumbers recurrence
 ``T_j = h_j[j] = 2 h_j[j-1]``.  Column ``j`` is stored here as ``u_j[k] =
 h_j[k] / ((j-k)! 2^{k-1})``; dividing the recurrence by ``(j-k)! 2^{k-1}``
 gives, with ``d = j-k``, ``u_j[1] = 1``, ``u_j[k] = u_{j-1}[k] + C(d+2, 2)
-u_j[k-1]`` and ``u_j[j] = u_j[j-1]``, from which ``T_j = u_j[j-1] << (j-1)``
+u_j[k-1]`` and ``u_j[j] = u_j[j-1]``, from which ``T_j = u_j[j] << (j-1)``
 is read off.  The binomial coefficient ``C(d+2, 2) = (d+1)(d+2)/2`` is an
 integer, so by induction on ``j`` and then ``k`` every ``u_j[k]`` is one:
 the divisions are exact and never performed.  An entry costs one
 multiplication of a big integer by a small one and one addition (``h``
 needs two multiplications), and is smaller than ``h_j[k]`` by ``(j-k)!``
 and ``k-1`` bits.  Column ``j`` needs only column ``j-1``, so ``T_1..T_n``
-cost ``O(n^2)`` such steps and one column of memory.
-Point queries go through a process-wide memo that keeps every ``T_n`` and
-record; :func:`record_range`, which scans read once in order, keeps nothing.
+cost ``O(n^2)`` such steps and one column, the stream's whole state.  Point
+queries go through a process-wide memo that keeps every ``T_n`` and record
+and commits only whole columns; :func:`record_range`, for scans, keeps nothing.
 
 From ``T_n`` everything else is a single reduced fraction:
 
@@ -45,7 +45,7 @@ import threading
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice
+from itertools import islice
 from math import gcd, isqrt
 
 from .exact import nu2, padic_valuation
@@ -81,22 +81,26 @@ class BernoulliRecord:
         return Fraction(4 * self.n * self.num4, self.j)
 
 
+def _advance(column: list[int]) -> None:
+    """Step ``column[k-1] = u_{j-1}[k]`` in place to ``u_j[k]``, with ``j = len(column) + 1``."""
+    j = len(column) + 1
+    # c = C(d+2, 2) from d = j-1 down, and C(d+2, 2) - C(d+1, 2) = d+1
+    c, step = j * (j + 1) // 2, j
+    u = 0  # u_j[0] = 0 starts the column
+    for i, x in enumerate(column):
+        u = x + c * u
+        column[i] = u
+        c -= step
+        step -= 1
+    column.append(u)  # u_j[j] = u_j[j-1]
+
+
 def _tangents() -> Iterator[int]:
-    """Yield ``T_1, T_2, ...`` forever, holding only the newest column ``u_j[1..j]``
-    of the scaled recurrence above: one small multiply and one add per entry."""
-    column = [1]  # column[k-1] = u_j[k] for the newest j
-    yield 1
-    for j in count(2):
-        # c = C(d+2, 2) from d = j-1 down, and C(d+2, 2) - C(d+1, 2) = d+1
-        c, step = j * (j + 1) // 2, j
-        u = 0  # u_j[0] = 0 starts the column
-        for i, x in enumerate(column):
-            u = x + c * u
-            column[i] = u
-            c -= step
-            step -= 1
-        column.append(u)  # u_j[j] = u_j[j-1]
-        yield u << (j - 1)
+    """Yield ``T_1, T_2, ...`` forever, holding only the newest column."""
+    column = [1]
+    while True:
+        yield column[-1] << (len(column) - 1)
+        _advance(column)
 
 
 def _divmod_mersenne(x: int, bits: int) -> tuple[int, int]:
@@ -126,15 +130,15 @@ def _record(n: int, t: int) -> BernoulliRecord:
 class SeidelEngine:
     """Memoized Brent-Harvey tangent engine; the name is historical (Seidel's triangle).
 
-    Every ``T_n`` drawn from one :func:`_tangents` stream is kept, so point
-    queries at any index reuse all previous work.  The stream is drawn under
-    a single lock: concurrent first requests for the same index compute it
-    once, while reads of already cached values are plain list lookups.
+    Every ``T_n`` computed is kept, so point queries at any index reuse all
+    previous work.  Under a single lock each step runs on a shallow copy of the
+    column, swapped in only when whole, so an interrupt leaves the last whole one.
+    Concurrent first requests compute an index once; cached reads are lookups.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._stream = _tangents()
+        self._column = [1]  # column j = len(_column); T_j is kept iff j < len(_tangent)
         self._tangent: list[int] = [0]  # 1-indexed; _tangent[n] = T_n
         self._records: dict[int, BernoulliRecord] = {}
 
@@ -143,15 +147,12 @@ class SeidelEngine:
             raise ValueError("tangent numbers are indexed from 1")
         if n >= len(self._tangent):
             with self._lock:
-                tangent = self._tangent
-                try:
-                    while len(tangent) <= n:  # no-op if another thread got here first
-                        tangent.append(next(self._stream))
-                except BaseException:
-                    # an interrupt mid-column ends the generator, so its half-updated
-                    # column is never read; restart a stream that resumes after the memo
-                    self._stream = islice(_tangents(), len(tangent) - 1, None)
-                    raise
+                while len(self._tangent) <= n:  # no-op if another thread got here first
+                    if len(self._column) < len(self._tangent):
+                        column = self._column.copy()
+                        _advance(column)
+                        self._column = column
+                    self._tangent.append(self._column[-1] << (len(self._column) - 1))
         return self._tangent[n]
 
     def tangent_range(self, limit: int) -> list[int]:

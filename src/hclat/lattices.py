@@ -46,7 +46,7 @@ VARIANTS = ("full_kernel", "signature_in_4Z")
 class OrdParameter:
     """The order of the hyperbolic plumbing's boundary sphere in coker(J).
 
-    Constraints enforced on construction:
+    Constraints enforced on construction, besides ``type(value) is int`` and ``value >= 1``:
 
     * ``value == 1`` for odd ``m != 5`` and for ``m in {2, 4}``;
     * ``value`` divides ``j_{m/2}^2`` for even ``m`` not in ``{2, 4}``;
@@ -63,7 +63,7 @@ class OrdParameter:
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ValueError("m must be >= 1")
-        if self.value < 1:
+        if type(self.value) is not int or self.value < 1:
             raise ValueError("ord must be a positive integer")
         if self.m % 2 and self.m != 5:
             if self.value != 1:

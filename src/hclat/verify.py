@@ -355,10 +355,10 @@ def _check_identities(payload: tuple[int]) -> tuple[int, list[dict]]:
         return lattices.generator_invariants(m, 1, variant, bezout)
 
     def generators_consistent() -> bool:
+        gl = genera.genus_coeffs("L", m)
+        ga = genera.genus_coeffs("Ahat", m)
         for variant in lattices.VARIANTS:
             basis = basis_for(variant)
-            gl = genera.genus_coeffs("L", m)
-            ga = genera.genus_coeffs("Ahat", m)
             for _, vec in basis.generators:
                 if gl.evaluate(vec.p_top, vec.p_half_sq) != vec.sigma:
                     return False

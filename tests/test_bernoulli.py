@@ -1,5 +1,7 @@
 import random
 import signal
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from fractions import Fraction
@@ -8,9 +10,11 @@ from math import factorial
 
 import pytest
 
+from hclat import bernoulli
 from hclat.bernoulli import (
     BernoulliRecord,
     SeidelEngine,
+    _advance,
     _divmod_mersenne,
     _record,
     _tangents,
@@ -186,6 +190,106 @@ class TestScaledColumns:
     def test_fresh_engine_matches_unscaled_recurrence_to_4000(self):
         # past the triangle's 3000, so the overlap with an independent kernel goes on
         assert SeidelEngine().tangent_range(4000) == brent_harvey_tangents(4000)
+
+
+class _InterruptOnFirstAdd(int):
+    """An int whose first ``+`` raises KeyboardInterrupt, as a signal landing there would."""
+
+    fired = False
+
+    def __add__(self, other):
+        if not _InterruptOnFirstAdd.fired:
+            _InterruptOnFirstAdd.fired = True
+            raise KeyboardInterrupt
+        return int(self) + other
+
+
+def _count_steps(monkeypatch) -> list[int]:
+    """Make the engine step through a wrapper of ``_advance``; returns its call log."""
+    calls = []
+
+    def counted(column):
+        calls.append(len(column))
+        _advance(column)
+
+    monkeypatch.setattr(bernoulli, "_advance", counted)
+    return calls
+
+
+class TestExplicitColumnState:
+    def test_interrupt_mid_column_resumes_from_the_last_whole_column(self, monkeypatch):
+        engine = SeidelEngine()
+        engine.tangent(50)
+        whole = list(engine._column)
+        _InterruptOnFirstAdd.fired = False
+        engine._column[25] = _InterruptOnFirstAdd(whole[25])
+        with pytest.raises(KeyboardInterrupt):
+            engine.tangent(80)
+        # the step ran on a copy: the engine still holds column 50, untouched
+        assert _InterruptOnFirstAdd.fired
+        assert engine._column == whole and len(engine._tangent) == 51
+        limit = 90
+        expected = SeidelEngine().tangent_range(limit)
+        calls = _count_steps(monkeypatch)
+        assert engine.tangent_range(limit) == expected
+        # one step per missing column, from column 50 on: nothing is replayed from column 1
+        assert calls == list(range(len(whole), limit))
+
+    def test_column_swapped_in_but_not_read_is_not_stepped_past(self, monkeypatch):
+        # the state an interrupt leaves between the swap and the append
+        engine = SeidelEngine()
+        engine.tangent(40)
+        _advance(engine._column)
+        assert len(engine._column) == 41 and len(engine._tangent) == 41
+        expected = SeidelEngine().tangent_range(60)
+        calls = _count_steps(monkeypatch)
+        assert engine.tangent_range(60) == expected
+        assert calls == list(range(41, 60))
+
+    def test_threads_switching_mid_column_share_one_column(self):
+        expected = SeidelEngine().tangent_range(200)
+        engine = SeidelEngine()
+        start = threading.Barrier(8)
+
+        def walk(_):
+            start.wait(timeout=60)
+            # every thread asks for every new index, so each step is contended
+            return [engine.tangent(n) for n in range(1, 201)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(walk, i) for i in range(8)]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [expected] * 8
+        # a lost or doubled step would leave the column off the memo by one
+        assert engine.tangent_range(200) == expected and len(engine._column) == 200
+
+    def test_resumed_saved_column_matches_the_stream(self):
+        _assert_saved_columns_resume([1, 2, 3, 10, 97, 256, 411, 599, 600])
+
+    @pytest.mark.long
+    def test_resumed_saved_column_matches_the_stream_to_3000(self):
+        _assert_saved_columns_resume([1, 2, 3, 100, 777, 1500, 2222, 2999, 3000])
+
+
+def _assert_saved_columns_resume(saved_at, ahead=20):
+    """A copy of the column after ``j`` steps, for each ``j`` in ``saved_at``, continued
+    by ``_advance`` alone yields ``T_j, T_{j+1}, ...`` as one :func:`_tangents` does."""
+    expected = list(islice(_tangents(), max(saved_at) + ahead))
+    column = [1]
+    for j in range(1, max(saved_at) + 1):
+        if j in saved_at:
+            saved = column.copy()
+            resumed = [saved[-1] << (j - 1)]
+            while len(saved) < j + ahead:
+                _advance(saved)
+                resumed.append(saved[-1] << (len(saved) - 1))
+            assert resumed == expected[j - 1 : j + ahead], j
+        _advance(column)
 
 
 def _assert_records_match_gcd_reduction(limit):

@@ -8,6 +8,7 @@ import pytest
 
 import oracles
 from hclat import lattices
+from hclat.bundles import kappa_basis
 from hclat.exact import nu2, padic_valuation
 from hclat.genera import genus_coeffs
 from hclat.lattices import (
@@ -55,6 +56,17 @@ class TestOrdParameter:
     def test_positive(self):
         with pytest.raises(ValueError):
             OrdParameter(0, 6)
+
+    @pytest.mark.parametrize("m", [3, 5, 6])
+    @pytest.mark.parametrize("value", [Fraction(1), True, 1.0, "1"], ids=repr)
+    def test_value_must_be_an_int(self, value, m):
+        # each equals 1 or converts to it, and 1 is a valid ord at every m here
+        with pytest.raises(ValueError, match="positive integer"):
+            OrdParameter(value, m)
+        lattices._as_ord(1, m)  # the int's cached entry must not answer for it
+        for build in (generator_invariants, kappa_basis):
+            with pytest.raises(ValueError, match="positive integer"):
+                build(m, value)
 
 
 class TestKernelStructure:
@@ -499,7 +511,8 @@ class TestOrdCache:
                 lattices._as_ord(OrdParameter(1, 6), 8)
 
     def test_equal_non_int_does_not_replace_the_int(self):
-        assert lattices._as_ord(True, 10).value is True
+        with pytest.raises(ValueError):
+            lattices._as_ord(True, 10)
         assert type(lattices._as_ord(1, 10).value) is int
 
 
