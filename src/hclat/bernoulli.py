@@ -48,7 +48,7 @@ from fractions import Fraction
 from itertools import islice
 from math import gcd, isqrt
 
-from .exact import nu2, padic_valuation
+from .exact import _require_int, nu2, padic_valuation
 
 __all__ = [
     "BernoulliRecord",
@@ -143,6 +143,7 @@ class SeidelEngine:
         self._records: dict[int, BernoulliRecord] = {}
 
     def tangent(self, n: int) -> int:
+        _require_int(n, "n")
         if n < 1:
             raise ValueError("tangent numbers are indexed from 1")
         if n >= len(self._tangent):
@@ -163,6 +164,7 @@ class SeidelEngine:
         return self._tangent[1 : limit + 1]
 
     def record(self, n: int) -> BernoulliRecord:
+        _require_int(n, "n")
         rec = self._records.get(n)
         if rec is None:
             rec = self._records.setdefault(n, _record(n, self.tangent(n)))

@@ -33,7 +33,7 @@ from .lattices import (
     minimal_ahat,
     minimal_signature,
 )
-from .plumbing import _bezout_terms, lambda_k, profile, require_bezout_for
+from .plumbing import _bezout_terms, _checked_answer, lambda_k, profile, require_bezout_for
 
 __all__ = [
     "KappaExpression",
@@ -148,13 +148,32 @@ def pairing_matrix(
     generator; the result is the identity matrix, which is the integrality
     and unimodularity statement at lattice level.  Needs ``m >= 2``: at
     ``m = 1`` there is a kappa basis but no lattice, and ValueError is raised.
+
+    The matrix for the canonical pair (omitted or passed) is memoized per
+    ``(m, ord)``, about 0.6 KB, and is checked to
+    be the identity on its first computation (RuntimeError otherwise); any
+    other pair is recomputed and checked on every call.  Each call returns
+    new lists.
     """
+    ord = _as_ord(ord, m)
+    rows = _checked_answer(
+        "pairing_matrix", m, bezout, lambda b: _pairing_matrix(m, ord, b), ord.value
+    )
+    return [list(row) for row in rows]
+
+
+def _pairing_matrix(
+    m: int, ord: OrdParameter, bezout: BezoutPair | None
+) -> tuple[tuple[Fraction, ...], ...]:
     terms = _kappa_terms(m, ord, bezout)
     basis = generator_invariants(m, ord, "signature_in_4Z", bezout)
-    return [
-        [Fraction(tn * v.p_top + hn * v.p_half_sq, den) for _, v in basis.generators]
+    rows = tuple(
+        tuple(Fraction(tn * v.p_top + hn * v.p_half_sq, den) for _, v in basis.generators)
         for tn, hn, den in terms
-    ]
+    )
+    if any(x != int(i == j) for i, row in enumerate(rows) for j, x in enumerate(row)):
+        raise RuntimeError(f"the kappa basis does not pair to the identity at m={m}")
+    return rows
 
 
 @dataclass(frozen=True)
@@ -177,8 +196,19 @@ class DivisibilityReport:
 
 
 def divisibility_report(m: int, ord: OrdParameter | int = 1) -> DivisibilityReport:
-    """Assemble the full divisibility report for dimension parameter ``m``."""
+    """Assemble the full divisibility report for dimension parameter ``m``.
+
+    The report is memoized per ``(m, ord)``, about 0.8 KB at ``m = 600``; it
+    is built on first use from :func:`~hclat.lattices.minimal_signature`,
+    whose integrality check runs then, and ``minimal_ahat``.
+    """
     ord = _as_ord(ord, m)
+    return _checked_answer(
+        "divisibility_report", m, None, lambda _: _divisibility_report(m, ord), ord.value
+    )
+
+
+def _divisibility_report(m: int, ord: OrdParameter) -> DivisibilityReport:
     sig = bundle_signature_divisor(m, ord)
     ahat = minimal_ahat(m) if m >= 2 else None
     return DivisibilityReport(

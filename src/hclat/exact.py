@@ -78,6 +78,14 @@ def normalize_bezout(num: int, denom: int) -> BezoutPair:
     return BezoutPair(c, d, num, denom)
 
 
+def _require_int(value: object, name: str) -> None:
+    """ValueError unless ``value`` is an int and not a bool.  Checked before any memo
+    lookup: ``6.0`` and ``True`` hash and compare equal to ``6`` and ``1``, so they
+    would otherwise find those entries once the entries exist."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def padic_valuation(x: int | Fraction, p: int) -> int:
     """Largest ``e`` with ``p**e`` dividing ``x``; negative when ``p`` divides
     the denominator of a rational.

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .exact import BezoutPair, gcd_with_square, nu2
-from .plumbing import _bezout_terms, lambda_k, profile, require_bezout_for
+from .exact import BezoutPair, _require_int, gcd_with_square, nu2
+from .plumbing import _bezout_terms, _checked_answer, lambda_k, profile, require_bezout_for
 
 __all__ = [
     "VARIANTS",
@@ -46,7 +46,8 @@ VARIANTS = ("full_kernel", "signature_in_4Z")
 class OrdParameter:
     """The order of the hyperbolic plumbing's boundary sphere in coker(J).
 
-    Constraints enforced on construction, besides ``type(value) is int`` and ``value >= 1``:
+    Constraints enforced on construction, besides ``type(value) is int``, ``value >= 1``,
+    ``type(m) is int`` and ``m >= 1``:
 
     * ``value == 1`` for odd ``m != 5`` and for ``m in {2, 4}``;
     * ``value`` divides ``j_{m/2}^2`` for even ``m`` not in ``{2, 4}``;
@@ -61,6 +62,7 @@ class OrdParameter:
     m: int
 
     def __post_init__(self) -> None:
+        _require_int(self.m, "m")
         if self.m < 1:
             raise ValueError("m must be >= 1")
         if type(self.value) is not int or self.value < 1:
@@ -88,6 +90,7 @@ _ords: dict[tuple[int, int], OrdParameter] = {}
 
 def _as_ord(ord: "OrdParameter | int", m: int) -> OrdParameter:
     """``ord`` checked against ``m``; an int is validated once per ``(ord, m)``."""
+    _require_int(m, "m")
     if isinstance(ord, OrdParameter):
         if ord.m != m:
             raise ValueError(f"ord parameter is for m={ord.m}, not m={m}")
@@ -238,10 +241,18 @@ def minimal_signature(m: int, ord: OrdParameter | int = 1) -> tuple[int, int | N
     correction ``i_m = min(0, nu2(ord) - 2 nu2(m) - 4 + 2 nu2(a_{m/2}))``
     entering the even case, and None otherwise.  Every occurring signature
     is a multiple of the value.
+
+    The pair is memoized per ``(m, ord)``, about 0.5 KB at ``m = 600`` (at odd
+    ``m`` the value is the profile's own ``sigma``), and the integrality of
+    ``2^{i_m} gcd(...)`` is checked on its first computation.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    ord = _as_ord(ord, m)
+    ord = _as_ord(ord, m)  # ValueError unless m is an int >= 1 and ord is valid for it
+    return _checked_answer(
+        "minimal_signature", m, None, lambda _: _minimal_signature(m, ord), ord.value
+    )
+
+
+def _minimal_signature(m: int, ord: OrdParameter) -> tuple[int, int | None]:
     if m in (1, 2, 4):
         return 1, None
     if m % 2:

@@ -12,16 +12,24 @@ The splitting invariant ``s(M) = (sigma(M) - <S_m(M), [M, dM]>) / 8`` of an
 almost closed spin manifold is an integer.  For ``Q`` it vanishes in odd
 ``m`` and admits two independent closed formulas when ``m = 2k``; both are
 evaluated exactly and must agree before the value is returned.
+
+Next to the profiles sits one memo of checked answers, shared by ``s_of_Q``,
+``genera.stolz_class_coeffs``, ``lattices.minimal_signature``,
+``bundles.divisibility_report`` and ``bundles.pairing_matrix``: each answer is
+computed, and cross-checked, once per ``(m, ord)`` for the canonical Bezout
+pair; any other pair is recomputed and checked on every call.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import Any, TypeVar
 
 from .bernoulli import bernoulli_record, tangent_number
-from .exact import BezoutPair, normalize_bezout
+from .exact import BezoutPair, _require_int, normalize_bezout
 
 __all__ = [
     "DimensionProfile",
@@ -92,6 +100,7 @@ _profiles: dict[int, DimensionProfile] = {}
 
 def profile(m: int) -> DimensionProfile:
     """The :class:`DimensionProfile` for dimension ``4m``, built once per m."""
+    _require_int(m, "m")
     prof = _profiles.get(m)
     if prof is not None:
         return prof
@@ -104,6 +113,39 @@ def profile(m: int) -> DimensionProfile:
         factorial(2 * m - 1), tangent_number(m),
     )
     return _profiles.setdefault(m, prof)
+
+
+_T = TypeVar("_T")
+
+_answers: dict[tuple[str, int, int], Any] = {}
+
+
+def _checked_answer(
+    name: str,
+    m: int,
+    bezout: BezoutPair | None,
+    compute: Callable[[BezoutPair | None], _T],
+    ord: int = 1,
+) -> _T:
+    """``compute(bezout)``, kept under ``(name, m, ord)`` when ``bezout`` is None or
+    the canonical pair of ``m``, and then computed as ``compute(None)``.
+
+    ``compute`` validates its arguments and runs its cross-checks, so each runs
+    on the first computation of an answer; a raise leaves nothing behind.  Any
+    other pair is passed to ``compute``, which checks it, on every call.  An
+    entry costs its key tuple and the answer: the five answers at one ``(m, ord)``
+    take about 2.4 KB at ``m = 60`` and 9 KB at ``m = 600``.
+    """
+    _require_int(m, "m")
+    if bezout is not None:
+        canonical = profile(m).bezout if m >= 1 else None
+        if bezout is not canonical and bezout != canonical:
+            return compute(bezout)
+    key = (name, m, ord)
+    out = _answers.get(key)
+    if out is None:
+        out = _answers.setdefault(key, compute(None))
+    return out
 
 
 def canonical_bezout(m: int) -> BezoutPair:
@@ -204,7 +246,15 @@ def s_of_Q(m: int, bezout: BezoutPair | None = None) -> int:
     implementation bug.  The integer itself depends on
     the chosen Bezout representative; only its residue modulo
     ``sigma_m / 8`` is canonical.
+
+    The answer for the canonical pair (omitted or passed) is memoized per m,
+    an int of about 2.9 KB at ``m = 600``, and the two formulas are compared on
+    its first computation; any other pair is recomputed and checked on every call.
     """
+    return _checked_answer("s_of_Q", m, bezout, lambda b: _s_of_Q(m, b))
+
+
+def _s_of_Q(m: int, bezout: BezoutPair | None) -> int:
     if m < 2:
         raise ValueError("m must be >= 2")
     if m % 2:

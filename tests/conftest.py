@@ -17,3 +17,23 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "long" in item.keywords:
             item.add_marker(skip)
+
+
+@pytest.fixture
+def fresh_answers(monkeypatch):
+    """An empty memo of checked answers: the next answer is a first computation,
+    with its cross-checks, whatever earlier tests asked for."""
+    from hclat import plumbing
+
+    monkeypatch.setattr(plumbing, "_answers", {})
+
+
+@pytest.fixture
+def cold(monkeypatch, fresh_answers):
+    """Every process-wide memo empty, as in a new interpreter: the tangent engine,
+    the profiles, the validated ord parameters and the checked answers."""
+    from hclat import bernoulli, lattices, plumbing
+
+    monkeypatch.setattr(bernoulli, "_ENGINE", bernoulli.SeidelEngine())
+    monkeypatch.setattr(plumbing, "_profiles", {})
+    monkeypatch.setattr(lattices, "_ords", {})

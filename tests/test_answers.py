@@ -1,0 +1,239 @@
+"""The memo of checked per-dimension answers in ``plumbing``.
+
+``s_of_Q``, ``stolz_class_coeffs``, ``minimal_signature``, ``divisibility_report``
+and ``pairing_matrix`` keep their answer for the canonical Bezout pair per
+``(m, ord)``; other pairs are recomputed.  These tests compare warm answers with
+first computations, and check that a cache state never changes an outcome.
+"""
+
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
+
+import oracles
+from hclat import bundles, genera, lattices, plumbing
+from hclat.bernoulli import bernoulli_abs, bernoulli_record, tangent_number
+from hclat.bundles import divisibility_report, kappa_basis, pairing_matrix
+from hclat.exact import BezoutPair
+from hclat.genera import genus_coeffs, stolz_class_coeffs
+from hclat.lattices import OrdParameter, generator_invariants, kernel_structure, minimal_signature
+from hclat.plumbing import bp_order, canonical_bezout, profile, require_bezout_for, s_of_Q
+
+M_MAX = 60
+
+
+def _divisors(n: int) -> list[int]:
+    out, p = [1], 2
+    while n > 1:
+        if p * p > n:
+            p = n  # what is left is prime
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        out = [d * p**i for d in out for i in range(e + 1)]
+        p += 1
+    return sorted(out)
+
+
+def valid_ords(m: int, sample_above: int | None = None) -> list[int]:
+    """Every valid ``ord`` at ``m``: all divisors of ``j_{m/2}^2`` for even ``m``
+    outside {2, 4}, 1 elsewhere, and at ``m = 5``, whose ord is unknown, the
+    values 1..64 that the constructor accepts.  With ``sample_above``, the
+    divisors past 64 are left out for ``m`` above it, all but ``j_{m/2}^2``."""
+    if m == 5:
+        candidates = range(1, 65)
+    elif m % 2 or m in (2, 4):
+        candidates = [1]
+    else:
+        j2 = profile(m // 2).j ** 2
+        candidates = _divisors(j2)
+        if sample_above is not None and m > sample_above:
+            candidates = [o for o in candidates if o <= 64 or o == j2]
+    return [o for o in candidates if oracles.outcome(OrdParameter, o, m).startswith("OrdParameter")]
+
+
+def test_divisors():
+    for n in (1, 2, 12, 97, 360, 2 * 3 * 7 * 7 * 101):
+        assert _divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _answers(m: int, ord: int | None = None) -> list[str]:
+    """The answers at ``m`` that take no ord, or the three at ``(m, ord)``."""
+    if ord is None:
+        return [oracles.outcome(s_of_Q, m), oracles.outcome(stolz_class_coeffs, m)]
+    return [oracles.outcome(fn, m, ord) for fn in (minimal_signature, divisibility_report, pairing_matrix)]
+
+
+def _warm_answers_equal_first_computations(monkeypatch, sample_above):
+    cases = [(m, None) for m in range(1, M_MAX + 1)]
+    cases += [(m, ord) for m in range(1, M_MAX + 1) for ord in valid_ords(m, sample_above)]
+    monkeypatch.setattr(plumbing, "_answers", {})
+    for case in cases:
+        _answers(*case)
+    warm = [_answers(*case) for case in cases]
+    # each answer again in a memo of its own, so no key can stand in for another
+    for case, answer in zip(cases, warm):
+        monkeypatch.setattr(plumbing, "_answers", {})
+        assert _answers(*case) == answer, case
+    return len(cases)
+
+
+def test_warm_answers_equal_first_computations(monkeypatch):
+    # every valid ord up to m = 30, then ords up to 64 and j_{m/2}^2
+    assert _warm_answers_equal_first_computations(monkeypatch, sample_above=30) > 5500
+
+
+@pytest.mark.long
+def test_warm_answers_equal_first_computations_every_ord(monkeypatch):
+    assert _warm_answers_equal_first_computations(monkeypatch, sample_above=None) > 84000
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 6, 12, 40])
+def test_repeat_calls_return_the_kept_answer(m):
+    assert s_of_Q(m) is s_of_Q(m)
+    assert stolz_class_coeffs(m) is stolz_class_coeffs(m)
+    assert minimal_signature(m, 1) is minimal_signature(m, 1)
+    assert divisibility_report(m, 1) is divisibility_report(m, 1)
+    first, second = pairing_matrix(m, 1), pairing_matrix(m, 1)
+    assert first is not second and first == second
+    assert all(a is b for r1, r2 in zip(first, second) for a, b in zip(r1, r2))
+
+
+@pytest.mark.parametrize("m", [2, 3, 6, 12, 40])
+def test_canonical_pair_passed_explicitly_hits_the_memo(m):
+    # perfbench/queries.py asks for stolz_class_coeffs(m, canonical_bezout(m))
+    pair = canonical_bezout(m)
+    copy = BezoutPair(pair.c, pair.d, pair.for_numerator, pair.for_denominator)
+    for given in (pair, copy):
+        assert stolz_class_coeffs(m, given) is stolz_class_coeffs(m)
+        assert s_of_Q(m, given) is s_of_Q(m)
+        assert pairing_matrix(m, 1, given)[0][0] is pairing_matrix(m, 1)[0][0]
+
+
+@pytest.mark.parametrize("m", [2, 6, 12, 40])
+def test_shifted_pair_is_recomputed_and_checked(monkeypatch, m):
+    calls = []
+
+    def counting(n, bezout=None):
+        calls.append(n)
+        return require_bezout_for(n, bezout)
+
+    monkeypatch.setattr(plumbing, "require_bezout_for", counting)
+    monkeypatch.setattr(genera, "require_bezout_for", counting)
+    s_base, coeffs = s_of_Q(m), stolz_class_coeffs(m)
+    for t in (-2, -1, 1, 2):
+        shifted = canonical_bezout(m).shifted(t)
+        for _ in range(2):
+            calls.clear()
+            s_t = s_of_Q(m, shifted)
+            assert calls == [m]
+            assert (s_t - s_base) % bp_order(m) == 0
+            assert s_t != s_base
+            calls.clear()
+            assert stolz_class_coeffs(m, shifted) != coeffs
+            assert calls == [m]
+        assert pairing_matrix(m, 1, shifted) == pairing_matrix(m, 1)
+    assert s_of_Q(m) is s_base and stolz_class_coeffs(m) is coeffs
+
+
+WITH_PAIR = [
+    ("s_of_Q", lambda m, b: s_of_Q(m, b)),
+    ("stolz_class_coeffs", lambda m, b: stolz_class_coeffs(m, b)),
+    ("pairing_matrix", lambda m, b: pairing_matrix(m, 1, b)),
+]
+
+
+@pytest.mark.parametrize("fn", [f for _, f in WITH_PAIR], ids=[n for n, _ in WITH_PAIR])
+@pytest.mark.parametrize("m,other", [(6, 4), (3, 4), (12, 2)])
+def test_invalid_pair_raises_cold_and_warm(monkeypatch, fn, m, other):
+    wrong = canonical_bezout(other)
+    monkeypatch.setattr(plumbing, "_answers", {})
+    cold = oracles.outcome(fn, m, wrong)
+    assert cold.startswith("ValueError: Bezout pair is for")
+    fn(m, None)
+    assert oracles.outcome(fn, m, wrong) == cold
+
+
+def test_mutating_a_returned_matrix_changes_nothing():
+    mat = pairing_matrix(6, 1)
+    mat[0][0] = Fraction(5)
+    mat[1].append(Fraction(7))
+    mat.append([])
+    assert pairing_matrix(6, 1) == [[1, 0], [0, 1]]
+
+
+class TestARaiseIsNotKept:
+    def test_argument_errors_raise_again(self):
+        for fn, args in [
+            (s_of_Q, (1,)),
+            (stolz_class_coeffs, (0,)),
+            (minimal_signature, (0, 1)),
+            (divisibility_report, (0, 1)),
+            (pairing_matrix, (1, 1)),
+        ]:
+            first = oracles.outcome(fn, *args)
+            assert first.startswith("ValueError")
+            assert oracles.outcome(fn, *args) == first
+
+    def test_failed_cross_check_raises_again_then_recovers(self, monkeypatch, fresh_answers):
+        good = oracles.s_of_Q(6)
+        bad = replace(profile(3), tangent=profile(3).tangent + 8)
+        with monkeypatch.context() as patch:
+            patch.setattr(plumbing, "profile", lambda m: bad if m == 3 else profile(m))
+            for _ in range(2):
+                with pytest.raises(RuntimeError, match="the two formulas for s\\(Q\\) disagree"):
+                    s_of_Q(6)
+        assert s_of_Q(6) == good
+
+    def test_pairing_must_be_the_identity(self, monkeypatch, fresh_answers):
+        terms = bundles._kappa_terms
+
+        def doubled(m, ord, bezout):
+            return [(2 * tn, 2 * hn, den) for tn, hn, den in terms(m, ord, bezout)]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(bundles, "_kappa_terms", doubled)
+            for _ in range(2):
+                with pytest.raises(RuntimeError, match="does not pair to the identity at m=6"):
+                    pairing_matrix(6, 1)
+        assert pairing_matrix(6, 1) == [[1, 0], [0, 1]]
+
+
+NOT_INT = [6.0, True, Fraction(6)]
+M_FUNCTIONS = [
+    ("profile", profile),
+    ("s_of_Q", s_of_Q),
+    ("stolz_class_coeffs", stolz_class_coeffs),
+    ("minimal_signature", minimal_signature),
+    ("divisibility_report", divisibility_report),
+    ("pairing_matrix", pairing_matrix),
+    ("generator_invariants", generator_invariants),
+    ("kernel_structure", kernel_structure),
+    ("kappa_basis", kappa_basis),
+    ("genus_coeffs", lambda m: genus_coeffs("L", m)),
+    ("OrdParameter", lambda m: OrdParameter(1, m)),
+    ("tangent_number", tangent_number),
+    ("bernoulli_record", bernoulli_record),
+    ("bernoulli_abs", bernoulli_abs),
+]
+
+
+@pytest.mark.parametrize("fn", [f for _, f in M_FUNCTIONS], ids=[n for n, _ in M_FUNCTIONS])
+@pytest.mark.parametrize("bad", NOT_INT, ids=repr)
+def test_non_int_m_raises_the_same_cold_and_warm(cold, fn, bad):
+    first = oracles.outcome(fn, bad)
+    # generator_invariants and kernel_structure turn m < 2 away before reading it further
+    assert " must be an int, got " in first or first == "ValueError: m must be >= 2"
+    oracles.outcome(fn, int(bad))  # warms every memo the int reaches
+    assert oracles.outcome(fn, bad) == first
+
+
+@pytest.mark.parametrize("bad", NOT_INT, ids=repr)
+def test_non_int_m_in_an_ord_parameter(cold, bad):
+    first = oracles.outcome(lattices._as_ord, 1, bad)
+    assert first == f"ValueError: m must be an int, got {bad!r}"
+    lattices._as_ord(1, int(bad))
+    assert oracles.outcome(lattices._as_ord, 1, bad) == first
+    assert oracles.outcome(lattices._as_ord, OrdParameter(1, int(bad)), bad) == first

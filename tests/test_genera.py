@@ -115,7 +115,7 @@ class TestStolzClassCoeffs:
             stolz_class_coeffs(2, normalize_bezout(1, 24))
 
     @pytest.mark.parametrize("m", [3, 6])
-    def test_p_top_left_over_raises(self, m, monkeypatch):
+    def test_p_top_left_over_raises(self, m, monkeypatch, fresh_answers):
         # doubling sigma_m and T_m together keeps both forms of s_m equal, but
         # sigma_m no longer matches num4, so the p_top terms stop cancelling
         prof = profile(m)

@@ -196,7 +196,7 @@ class TestSofQ:
         for k in (1, 3, 10):
             assert s_of_Q_formulas(k) == s_of_Q_formulas(k, canonical_bezout(2 * k))
 
-    def test_pair_is_checked_once(self, monkeypatch):
+    def test_pair_is_checked_once(self, monkeypatch, fresh_answers):
         calls = []
 
         def counting(m, bezout=None):
@@ -209,7 +209,7 @@ class TestSofQ:
             s_of_Q(6, pair)
             assert calls == [6]
 
-    def test_disagreeing_formulas_raise(self, monkeypatch):
+    def test_disagreeing_formulas_raise(self, monkeypatch, fresh_answers):
         # T_3 enters only the second formula
         bad = replace(profile(3), tangent=profile(3).tangent + 8)
         monkeypatch.setattr(plumbing, "profile", lambda m: bad if m == 3 else profile(m))
