@@ -48,7 +48,7 @@ from fractions import Fraction
 from itertools import islice
 from math import gcd, isqrt
 
-from .exact import _require_int, nu2, padic_valuation
+from .exact import _require_index, nu2, padic_valuation
 
 __all__ = [
     "BernoulliRecord",
@@ -143,9 +143,7 @@ class SeidelEngine:
         self._records: dict[int, BernoulliRecord] = {}
 
     def tangent(self, n: int) -> int:
-        _require_int(n, "n")
-        if n < 1:
-            raise ValueError("tangent numbers are indexed from 1")
+        _require_index(n, "n", 1)
         if n >= len(self._tangent):
             with self._lock:
                 while len(self._tangent) <= n:  # no-op if another thread got here first
@@ -157,14 +155,13 @@ class SeidelEngine:
         return self._tangent[n]
 
     def tangent_range(self, limit: int) -> list[int]:
-        if limit < 0:
-            raise ValueError("limit must be >= 0")
+        _require_index(limit, "limit", 0)
         if limit > 0:
             self.tangent(limit)
         return self._tangent[1 : limit + 1]
 
     def record(self, n: int) -> BernoulliRecord:
-        _require_int(n, "n")
+        _require_index(n, "n", 1)
         rec = self._records.get(n)
         if rec is None:
             rec = self._records.setdefault(n, _record(n, self.tangent(n)))
@@ -197,14 +194,16 @@ def bernoulli_record(n: int) -> BernoulliRecord:
 def record_range(
     limit: int, keep: Callable[[int], bool] | None = None
 ) -> Iterator[BernoulliRecord]:
-    """Yield records ``n = 1 .. limit`` in order from a stream of their own, only
-    those with ``keep(n)`` when ``keep`` is given; the engine memo is neither read
-    nor filled, and an index not kept costs its tangent number but no reduction."""
-    if limit < 0:
-        raise ValueError("limit must be >= 0")
-    for n, t in enumerate(islice(_tangents(), limit), 1):
-        if keep is None or keep(n):
-            yield _record(n, t)
+    """Iterate over the records ``n = 1 .. limit`` in order from a stream of their own,
+    only those with ``keep(n)`` when ``keep`` is given; ``limit`` is checked at the call.
+    The engine memo is neither read nor filled, and an index not kept costs its
+    tangent number but no reduction."""
+    _require_index(limit, "limit", 0)
+    return (
+        _record(n, t)
+        for n, t in enumerate(islice(_tangents(), limit), 1)
+        if keep is None or keep(n)
+    )
 
 
 def vsc_denominator(n: int) -> int:
@@ -214,8 +213,7 @@ def vsc_denominator(n: int) -> int:
     ``2n``, found by trial division among ``d + 1`` for the divisors ``d`` of
     ``2n``; no Bernoulli number is involved.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _require_index(n, "n", 1)
     out = 1
     divisors = [d for d in range(1, isqrt(2 * n) + 1) if (2 * n) % d == 0]
     for p in {d + 1 for d in divisors} | {2 * n // d + 1 for d in divisors}:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import BezoutPair
+from .exact import BezoutPair, _require_index
 from .lattices import (
     InvariantVector,
     OrdParameter,
@@ -70,8 +70,7 @@ def bundle_signature_divisor(m: int, ord: OrdParameter | int = 1) -> int:
     4 in the three exceptional dimensions, the minimal highly connected
     signature otherwise.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _require_index(m, "m", 1)
     ord = _as_ord(ord, m)
     if m in (1, 2, 4):
         return 4
@@ -81,8 +80,7 @@ def bundle_signature_divisor(m: int, ord: OrdParameter | int = 1) -> int:
 
 def signature_4_realizable(m: int) -> bool:
     """Whether signature exactly 4 occurs among such total spaces."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _require_index(m, "m", 1)
     return m in (1, 2, 4)
 
 
@@ -90,8 +88,6 @@ def _kappa_terms(
     m: int, ord: OrdParameter | int, bezout: BezoutPair | None
 ) -> list[tuple[int, int, int]]:
     """The kappa basis as rows ``(top num, half num, den)`` over one unreduced denominator."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
     ord = _as_ord(ord, m)
     if m == 1:
         if bezout is not None:
@@ -131,6 +127,7 @@ def kappa_basis(
     (canonical pair by default); any valid pair gives a basis of the same
     lattice of functionals.  A pair is checked against ``m`` in every case.
     """
+    _require_index(m, "m", 1)
     return [
         KappaExpression(Fraction(tn, den), Fraction(hn, den))
         for tn, hn, den in _kappa_terms(m, ord, bezout)
@@ -155,6 +152,7 @@ def pairing_matrix(
     other pair is recomputed and checked on every call.  Each call returns
     new lists.
     """
+    _require_index(m, "m", 1)  # at m = 1 a bad pair is reported before generator_invariants' m >= 2
     ord = _as_ord(ord, m)
     rows = _checked_answer(
         "pairing_matrix", m, bezout, lambda b: _pairing_matrix(m, ord, b), ord.value
@@ -202,6 +200,7 @@ def divisibility_report(m: int, ord: OrdParameter | int = 1) -> DivisibilityRepo
     is built on first use from :func:`~hclat.lattices.minimal_signature`,
     whose integrality check runs then, and ``minimal_ahat``.
     """
+    _require_index(m, "m", 1)
     ord = _as_ord(ord, m)
     return _checked_answer(
         "divisibility_report", m, None, lambda _: _divisibility_report(m, ord), ord.value

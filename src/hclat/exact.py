@@ -78,12 +78,14 @@ def normalize_bezout(num: int, denom: int) -> BezoutPair:
     return BezoutPair(c, d, num, denom)
 
 
-def _require_int(value: object, name: str) -> None:
-    """ValueError unless ``value`` is an int and not a bool.  Checked before any memo
-    lookup: ``6.0`` and ``True`` hash and compare equal to ``6`` and ``1``, so they
-    would otherwise find those entries once the entries exist."""
+def _require_index(value: object, name: str, lo: int) -> None:
+    """ValueError unless ``value`` is an int, not a bool, and ``>= lo``: the one check of
+    every public index argument, made before any memo lookup, since ``6.0`` and ``True``
+    hash and compare equal to ``6`` and ``1`` and would otherwise find their entries."""
     if type(value) is not int:
         raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < lo:
+        raise ValueError(f"{name} must be >= {lo}")
 
 
 def padic_valuation(x: int | Fraction, p: int) -> int:

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .exact import BezoutPair
+from .exact import BezoutPair, _require_index
 from .plumbing import (
     DimensionProfile,
     _bezout_terms,
@@ -104,8 +104,7 @@ def _s_terms(prof: DimensionProfile) -> tuple[int, int]:
 
 def shat(n: int) -> Fraction:
     """``shat_n = -(1/(2n-1)!) |B_{2n}|/4n``; e.g. ``shat(1) == -1/24``."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _require_index(n, "n", 1)
     prof = profile(n)
     return Fraction(-prof.num4, prof.j * prof.fact)
 
@@ -116,8 +115,7 @@ def s(n: int) -> Fraction:
     Both closed forms are computed exactly and must agree; a mismatch would
     mean the Bernoulli data is corrupted, so it raises RuntimeError.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _require_index(n, "n", 1)
     return Fraction(*_s_terms(profile(n)))
 
 
@@ -128,8 +126,7 @@ def genus_coeffs(genus: str, m: int) -> GenusCoefficients:
     """
     if genus not in GENERA:
         raise ValueError(f"unknown genus {genus!r}; expected one of {GENERA}")
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _require_index(m, "m", 1)
     # ph needs no Bernoulli data: its factorials come from math, not from a profile
     if m % 2:
         if genus == "L":
@@ -182,12 +179,11 @@ def stolz_class_coeffs(m: int, bezout: BezoutPair | None = None) -> GenusCoeffic
     cancellation is asserted on their first computation; any other pair is
     recomputed and checked on every call.
     """
+    _require_index(m, "m", 1)
     return _checked_answer("stolz_class_coeffs", m, bezout, lambda b: _stolz_class_coeffs(m, b))
 
 
 def _stolz_class_coeffs(m: int, bezout: BezoutPair | None) -> GenusCoefficients:
-    if m < 1:
-        raise ValueError("m must be >= 1")
     bezout = require_bezout_for(m, bezout)
     prof = profile(m)
     factor = sigma_over_a(m, prof.num4)
@@ -229,8 +225,7 @@ def p2k_solve(k: int) -> P2kDecomposition:
 
     which are recomputed independently and compared before returning.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _require_index(k, "k", 1)
     sk, s2k = s(k), s(2 * k)
     hk, h2k = shat(k), shat(2 * k)
     p2k_on_L = 1 / s2k

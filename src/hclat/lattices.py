@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .exact import BezoutPair, _require_int, gcd_with_square, nu2
+from .exact import BezoutPair, _require_index, gcd_with_square, nu2
 from .plumbing import _bezout_terms, _checked_answer, lambda_k, profile, require_bezout_for
 
 __all__ = [
@@ -62,9 +62,7 @@ class OrdParameter:
     m: int
 
     def __post_init__(self) -> None:
-        _require_int(self.m, "m")
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
+        _require_index(self.m, "m", 1)
         if type(self.value) is not int or self.value < 1:
             raise ValueError("ord must be a positive integer")
         if self.m % 2 and self.m != 5:
@@ -89,8 +87,7 @@ _ords: dict[tuple[int, int], OrdParameter] = {}
 
 
 def _as_ord(ord: "OrdParameter | int", m: int) -> OrdParameter:
-    """``ord`` checked against ``m``; an int is validated once per ``(ord, m)``."""
-    _require_int(m, "m")
+    """``ord`` checked against the gated ``m``; an int is validated once per ``(ord, m)``."""
     if isinstance(ord, OrdParameter):
         if ord.m != m:
             raise ValueError(f"ord parameter is for m={ord.m}, not m={m}")
@@ -144,8 +141,7 @@ def kernel_structure(m: int, ord: OrdParameter | int = 1) -> KernelStructure:
     ``m = 5`` exactly when ``ord == 1``), rank 1 for ``m = 3 mod 4``, and
     rank 2 for even ``m``.
     """
-    if m < 2:
-        raise ValueError("m must be >= 2")
+    _require_index(m, "m", 2)
     ord = _as_ord(ord, m)
     if m % 2 == 0:
         return KernelStructure(2, ())
@@ -185,8 +181,7 @@ def generator_invariants(
     give different generators of the same lattice.  A pair is checked
     against ``m`` in every case.
     """
-    if m < 2:
-        raise ValueError("m must be >= 2")
+    _require_index(m, "m", 2)
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
     ord = _as_ord(ord, m)
@@ -246,7 +241,8 @@ def minimal_signature(m: int, ord: OrdParameter | int = 1) -> tuple[int, int | N
     ``m`` the value is the profile's own ``sigma``), and the integrality of
     ``2^{i_m} gcd(...)`` is checked on its first computation.
     """
-    ord = _as_ord(ord, m)  # ValueError unless m is an int >= 1 and ord is valid for it
+    _require_index(m, "m", 1)
+    ord = _as_ord(ord, m)
     return _checked_answer(
         "minimal_signature", m, None, lambda _: _minimal_signature(m, ord), ord.value
     )
@@ -267,8 +263,7 @@ def _minimal_signature(m: int, ord: OrdParameter) -> tuple[int, int | None]:
 
 def minimal_ahat(m: int) -> int:
     """Minimal positive A-hat genus of a closed highly connected 4m-manifold."""
-    if m < 2:
-        raise ValueError("m must be >= 2")
+    _require_index(m, "m", 2)
     if m % 2:
         return 2 * profile(m).num4
     nu, odd = gcd_with_square(profile(m).num4, profile(m // 2).num4)
@@ -277,10 +272,9 @@ def minimal_ahat(m: int) -> int:
 
 def signature_divisibility_bound(m: int) -> int:
     """Power of 2 dividing every highly connected signature, ``m not in {1,2,4}``."""
+    _require_index(m, "m", 1)
     if m in (1, 2, 4):
         raise ValueError(f"no 2-power bound in the exceptional dimension m={m}")
-    if m < 1:
-        raise ValueError("m must be >= 1")
     if m % 2:
         return 1 << (2 * m + 2)
     return 1 << (2 * m - 2 * nu2(m) - 3)

@@ -29,7 +29,7 @@ from math import factorial
 from typing import Any, TypeVar
 
 from .bernoulli import bernoulli_record, tangent_number
-from .exact import BezoutPair, _require_int, normalize_bezout
+from .exact import BezoutPair, _require_index, normalize_bezout
 
 __all__ = [
     "DimensionProfile",
@@ -51,11 +51,13 @@ __all__ = [
 def lambda_k(k: int) -> int:
     """2 for k in {1, 2}, else 1: the normalization of the middle class of Q,
     which is also the index of the second lattice generator."""
+    _require_index(k, "k", 1)
     return 2 if k in (1, 2) else 1
 
 
 def a_m(m: int) -> int:
     """``a_m``: 2 for odd m, 1 for even m."""
+    _require_index(m, "m", 1)
     return 2 if m % 2 else 1
 
 
@@ -64,12 +66,14 @@ def sigma_over_a(m: int, num4: int = 1) -> int:
 
     With the default ``num4 = 1`` this is the bare power-of-two factor.
     """
+    _require_index(m, "m", 1)
     return (1 << (2 * m + 1)) * ((1 << (2 * m - 1)) - 1) * num4
 
 
 def sigma_m(m: int, num4: int) -> int:
     """``sigma_m`` from m and ``num4`` alone, for the scans, whose record stream
     leaves the Bernoulli memo and the profiles empty."""
+    _require_index(m, "m", 1)
     return a_m(m) * sigma_over_a(m, num4)
 
 
@@ -100,12 +104,10 @@ _profiles: dict[int, DimensionProfile] = {}
 
 def profile(m: int) -> DimensionProfile:
     """The :class:`DimensionProfile` for dimension ``4m``, built once per m."""
-    _require_int(m, "m")
+    _require_index(m, "m", 1)
     prof = _profiles.get(m)
     if prof is not None:
         return prof
-    if m < 1:
-        raise ValueError("m must be >= 1")
     rec = bernoulli_record(m)
     bezout = normalize_bezout(rec.num4, rec.j)
     prof = DimensionProfile(
@@ -130,15 +132,14 @@ def _checked_answer(
     """``compute(bezout)``, kept under ``(name, m, ord)`` when ``bezout`` is None or
     the canonical pair of ``m``, and then computed as ``compute(None)``.
 
-    ``compute`` validates its arguments and runs its cross-checks, so each runs
-    on the first computation of an answer; a raise leaves nothing behind.  Any
+    The caller has gated ``m``.  ``compute`` checks the rest and runs its cross-checks,
+    so each runs on the first computation of an answer; a raise leaves nothing behind.  Any
     other pair is passed to ``compute``, which checks it, on every call.  An
     entry costs its key tuple and the answer: the five answers at one ``(m, ord)``
     take about 2.4 KB at ``m = 60`` and 9 KB at ``m = 600``.
     """
-    _require_int(m, "m")
     if bezout is not None:
-        canonical = profile(m).bezout if m >= 1 else None
+        canonical = profile(m).bezout
         if bezout is not canonical and bezout != canonical:
             return compute(bezout)
     key = (name, m, ord)
@@ -183,8 +184,7 @@ def bp_order(m: int) -> int:
 
 def pk2_of_Q(k: int) -> int:
     """The Pontryagin number ``p_k^2`` of the hyperbolic plumbing in dimension 8k."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _require_index(k, "k", 1)
     return 2 * lambda_k(k) ** 2 * a_m(k) ** 2 * factorial(2 * k - 1) ** 2
 
 
@@ -205,8 +205,6 @@ def _bezout_terms(k: int, bezout: BezoutPair) -> tuple[int, int]:
 
 def _s_of_Q_terms(k: int, bezout: BezoutPair | None) -> tuple[int, int, int, int]:
     """``(n1, d1, n2, d2)``: the two formulas for ``s(Q)`` as ``n1/d1`` and ``n2/d2``, unreduced."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     bezout = require_bezout_for(2 * k, bezout)
     pk = profile(k)
     p2k = profile(2 * k)
@@ -232,6 +230,7 @@ def s_of_Q_formulas(k: int, bezout: BezoutPair | None = None) -> tuple[Fraction,
     Either one, for a valid pair, is an integer, but that is not assumed
     here; the raw fractions are returned for cross-checking.
     """
+    _require_index(k, "k", 1)
     n1, d1, n2, d2 = _s_of_Q_terms(k, bezout)
     return Fraction(n1, d1), Fraction(n2, d2)
 
@@ -251,12 +250,11 @@ def s_of_Q(m: int, bezout: BezoutPair | None = None) -> int:
     an int of about 2.9 KB at ``m = 600``, and the two formulas are compared on
     its first computation; any other pair is recomputed and checked on every call.
     """
+    _require_index(m, "m", 2)
     return _checked_answer("s_of_Q", m, bezout, lambda b: _s_of_Q(m, b))
 
 
 def _s_of_Q(m: int, bezout: BezoutPair | None) -> int:
-    if m < 2:
-        raise ValueError("m must be >= 2")
     if m % 2:
         if bezout is not None:
             require_bezout_for(m, bezout)

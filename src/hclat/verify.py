@@ -47,7 +47,7 @@ from pathlib import Path
 
 from . import bundles, genera, lattices, plumbing
 from .bernoulli import record_range
-from .exact import gcd_with_square, nu2
+from .exact import _require_index, gcd_with_square, nu2
 
 __all__ = [
     "VerificationReport",
@@ -192,8 +192,7 @@ class _Checkpoint:
 def _worker_count(workers: int) -> int:
     """``workers``, rejected below 1 and capped at the CPU count, since a process
     pool starts every worker it is asked for at once."""
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    _require_index(workers, "workers", 1)
     return min(workers, os.cpu_count() or 1)
 
 
@@ -294,8 +293,7 @@ def _prefix_scan(
     claim: str, m_max: int, check: Callable, workers: int, checkpoint_path: str | Path | None
 ) -> VerificationReport:
     """One of the two scans over even m that check each record as it streams."""
-    if m_max < 2:
-        raise ValueError("m_max must be >= 2")
+    _require_index(m_max, "m_max", 2)
     # a pool of checkers cannot shorten the serial stream, so ``workers`` is only validated
     _worker_count(workers)
     params = {"ord_policy": "not-involved"}
@@ -487,8 +485,7 @@ def verify_identity_suite(
     ``m_max = 1`` gives an empty "partial" report since the identities
     need m >= 2.
     """
-    if m_max < 1:
-        raise ValueError("m_max must be >= 1")
+    _require_index(m_max, "m_max", 1)
     workers = _worker_count(workers)
     payloads = ((m,) for m in range(2, m_max + 1))
     args = ("identity-suite", m_max, payloads, _check_identities, {"ord_policy": "conjectural-1"})

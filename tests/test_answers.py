@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from hclat import bundles, genera, lattices, plumbing
+from hclat import bundles, genera, plumbing
 from hclat.bernoulli import bernoulli_abs, bernoulli_record, tangent_number
 from hclat.bundles import divisibility_report, kappa_basis, pairing_matrix
 from hclat.exact import BezoutPair
@@ -224,16 +224,30 @@ M_FUNCTIONS = [
 @pytest.mark.parametrize("bad", NOT_INT, ids=repr)
 def test_non_int_m_raises_the_same_cold_and_warm(cold, fn, bad):
     first = oracles.outcome(fn, bad)
-    # generator_invariants and kernel_structure turn m < 2 away before reading it further
-    assert " must be an int, got " in first or first == "ValueError: m must be >= 2"
+    assert " must be an int, got " in first
     oracles.outcome(fn, int(bad))  # warms every memo the int reaches
     assert oracles.outcome(fn, bad) == first
 
 
+WITH_ORD = [
+    kernel_structure,
+    generator_invariants,
+    minimal_signature,
+    bundles.bundle_signature_divisor,
+    kappa_basis,
+    pairing_matrix,
+    divisibility_report,
+]
+
+
 @pytest.mark.parametrize("bad", NOT_INT, ids=repr)
 def test_non_int_m_in_an_ord_parameter(cold, bad):
-    first = oracles.outcome(lattices._as_ord, 1, bad)
-    assert first == f"ValueError: m must be an int, got {bad!r}"
-    lattices._as_ord(1, int(bad))
-    assert oracles.outcome(lattices._as_ord, 1, bad) == first
-    assert oracles.outcome(lattices._as_ord, OrdParameter(1, int(bad)), bad) == first
+    # _as_ord reads the ord memo with an m its callers have gated: a non-int m is refused
+    # first, next to an int ord or a parameter built for int(m), however warm that memo is
+    expected = f"ValueError: m must be an int, got {bad!r}"
+    for warm in (False, True):
+        for fn in WITH_ORD:
+            if warm:
+                oracles.outcome(fn, int(bad), 1)
+            assert oracles.outcome(fn, bad, 1) == expected
+            assert oracles.outcome(fn, bad, OrdParameter(1, int(bad))) == expected

@@ -188,6 +188,12 @@ class TestErrorHandling:
     def test_missing_required_is_exit_1(self, capsys):
         assert main(["bernoulli"]) == 1
 
+    def test_overflowing_index_is_one_error_line(self, capsys):
+        # a valid int m whose (2m-1)! math.factorial cannot take
+        assert main(["coeffs", "--genus", "Ph", "--m", str(10**20)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_workers_below_one_is_exit_1(self, capsys):
         for claim in verify.CLAIMS:
             assert main(["verify", claim, "--max", "10", "--workers", "0"]) == 1

@@ -1,8 +1,13 @@
 import ast
+import inspect
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 import hclat
 from hclat import bernoulli, bundles, exact, genera, lattices, plumbing, verify
@@ -28,6 +33,55 @@ def test_star_import_binds_every_name():
     assert set(hclat.__all__) <= namespace.keys()
     for name in hclat.__all__:
         assert namespace[name] is getattr(hclat, name)
+
+
+def _index_functions() -> list:
+    """Every public function whose first parameter is an index, with 1 for its other
+    required arguments (``sigma_m``'s ``num4``)."""
+    out = []
+    for name in hclat.__all__:
+        fn = getattr(hclat, name)
+        if not inspect.isfunction(fn):
+            continue
+        first, *rest = inspect.signature(fn).parameters.values()
+        if first.name in ("m", "n", "k", "limit", "m_max"):
+            required = [1 for p in rest if p.default is p.empty]
+            out.append(pytest.param(fn, first.name, required, id=name))
+    return out
+
+
+INDEX_FUNCTIONS = _index_functions()
+
+
+def test_index_functions_are_found():
+    # a discovery that quietly shrank would leave the gate test below checking less
+    names = {p.id for p in INDEX_FUNCTIONS}
+    assert {"tangent_numbers", "record_range", "shat", "profile", "sigma_m", "lambda_k"} <= names
+    assert {"kernel_structure", "kappa_basis", "verify_identity_suite"} <= names
+    assert len(names) >= 34
+
+
+@pytest.mark.parametrize("fn,index,rest", INDEX_FUNCTIONS)
+@pytest.mark.parametrize("bad", [6.0, True, Fraction(6)], ids=repr)
+def test_every_index_argument_is_gated_cold_and_warm(cold, fn, index, rest, bad):
+    def call(value):
+        fn(value, *rest)  # record_range checks its limit here, not on its first step
+
+    message = re.escape(f"{index} must be an int, got {bad!r}")
+    with pytest.raises(ValueError, match=message):
+        call(bad)
+    try:
+        call(int(bad))  # warms every memo the int reaches
+    except ValueError:
+        pass
+    with pytest.raises(ValueError, match=message):
+        call(bad)
+
+
+@pytest.mark.parametrize("claim", sorted(verify.CLAIMS))
+def test_workers_is_gated(claim):
+    with pytest.raises(ValueError, match="workers must be an int, got True"):
+        verify.CLAIMS[claim](4, workers=True)
 
 
 def test_no_process_pool_modules_outside_the_identity_pool():
