@@ -122,32 +122,42 @@ def s(n: int) -> Fraction:
 def genus_coeffs(genus: str, m: int) -> GenusCoefficients:
     """Coefficients of the named genus in degree ``4m``.
 
-    ``genus`` is one of ``"L"``, ``"Ahat"``, ``"Ph"``, ``"AhatPh"``.
+    ``genus`` is one of ``"L"``, ``"Ahat"``, ``"Ph"``, ``"AhatPh"``.  Memoized per
+    ``(genus, m)``, 3.4 to 5.5 KB at ``m = 600``; the closed forms of ``s_n`` are compared
+    on the first computation.  Too large a ``(2m-1)!`` raises OverflowError naming m.
     """
     if genus not in GENERA:
         raise ValueError(f"unknown genus {genus!r}; expected one of {GENERA}")
     _require_index(m, "m", 1)
-    # ph needs no Bernoulli data: its factorials come from math, not from a profile
+    return _checked_answer(genus, m, None, lambda _: _genus_coeffs(genus, m))
+
+
+def _genus_coeffs(genus: str, m: int) -> GenusCoefficients:
+    # ph needs no Bernoulli data: its (2m-1)! comes from math, not from a profile
+    if genus in ("Ph", "AhatPh"):
+        try:
+            fact = factorial(2 * m - 1)
+        except OverflowError:
+            raise OverflowError(f"m={m}: its factorial (2m-1)! is too large to compute") from None
     if m % 2:
         if genus == "L":
             top = s(m)
         elif genus == "Ahat":
             top = shat(m)
         else:  # Ph and AhatPh coincide in odd degree
-            top = Fraction(1, factorial(2 * m - 1))
+            top = Fraction(1, fact)
         return GenusCoefficients(m, top, _ZERO)
     # (2k-1)!^2 divides (4k-1)!, so with q = (4k-1)!/(2k-1)!^2 each half coefficient
-    # has a common denominator of the size of (4k-1)!, not of (4k-1)! (2k-1)!^2
+    # has a common denominator of the size of (4k-1)! = (2m-1)!, not of (4k-1)! (2k-1)!^2
     k = m // 2
     if genus in ("Ph", "AhatPh"):
-        f4k = factorial(4 * k - 1)
         if genus == "Ph":
-            return GenusCoefficients(m, Fraction(-1, f4k), Fraction(1, 2 * f4k))
+            return GenusCoefficients(m, Fraction(-1, fact), Fraction(1, 2 * fact))
         # (-1)^{k+1} shat_k / (2k-1)! + 1/(2 (4k-1)!)
         pk = profile(k)
-        q = f4k // pk.fact**2
-        half = Fraction(2 * (-1) ** k * pk.num4 * q + pk.j, 2 * pk.j * f4k)
-        return GenusCoefficients(m, Fraction(-1, f4k), half)
+        q = fact // pk.fact**2
+        half = Fraction(2 * (-1) ** k * pk.num4 * q + pk.j, 2 * pk.j * fact)
+        return GenusCoefficients(m, Fraction(-1, fact), half)
     pk, pm = profile(k), profile(m)
     q = pm.fact // pk.fact**2
     if genus == "L":

@@ -14,10 +14,11 @@ almost closed spin manifold is an integer.  For ``Q`` it vanishes in odd
 evaluated exactly and must agree before the value is returned.
 
 Next to the profiles sits one memo of checked answers, shared by ``s_of_Q``,
-``genera.stolz_class_coeffs``, ``lattices.minimal_signature``,
-``bundles.divisibility_report`` and ``bundles.pairing_matrix``: each answer is
-computed, and cross-checked, once per ``(m, ord)`` for the canonical Bezout
-pair; any other pair is recomputed and checked on every call.
+``genus_coeffs`` (per genus), ``stolz_class_coeffs``, ``generator_invariants`` (per
+variant), ``minimal_signature``, ``kappa_basis``, ``divisibility_report`` and
+``pairing_matrix``: each answer is computed, and cross-checked, once per ``(m, ord)``
+for the canonical Bezout pair; any other pair is recomputed and checked on every
+call.  The identity scan drops m's answers once m is checked.
 """
 
 from __future__ import annotations
@@ -134,9 +135,9 @@ def _checked_answer(
 
     The caller has gated ``m``.  ``compute`` checks the rest and runs its cross-checks,
     so each runs on the first computation of an answer; a raise leaves nothing behind.  Any
-    other pair is passed to ``compute``, which checks it, on every call.  An
-    entry costs its key tuple and the answer: the five answers at one ``(m, ord)``
-    take about 2.4 KB at ``m = 60`` and 9 KB at ``m = 600``.
+    other pair is passed to ``compute``, which checks it, on every call.  ``name`` is the
+    function's, or the genus or variant where one function gives several answers.  The
+    twelve answers at one ``(m, ord)`` take about 14 KB at ``m = 60`` and 62 KB at ``m = 600``.
     """
     if bezout is not None:
         canonical = profile(m).bezout
@@ -147,6 +148,12 @@ def _checked_answer(
     if out is None:
         out = _answers.setdefault(key, compute(None))
     return out
+
+
+def _drop_answers(m: int) -> None:
+    """Forget every answer kept at ``m``, whatever its name or ord."""
+    for key in [key for key in _answers if key[1] == m]:
+        del _answers[key]
 
 
 def canonical_bezout(m: int) -> BezoutPair:

@@ -41,7 +41,7 @@ import time
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import partial
 from math import gcd
 from pathlib import Path
 
@@ -347,16 +347,11 @@ def _check_identities(payload: tuple[int]) -> tuple[int, list[dict]]:
     if m % 2:
         run("stolz_odd_vanishes", lambda: genera.stolz_class_coeffs(m).coeff_p_half_sq == 0)
 
-    # one build per basis; a raise is not cached, so each identity still reports it
-    @cache
-    def basis_for(variant: str, bezout=None) -> lattices.LatticeBasis:
-        return lattices.generator_invariants(m, 1, variant, bezout)
-
     def generators_consistent() -> bool:
         gl = genera.genus_coeffs("L", m)
         ga = genera.genus_coeffs("Ahat", m)
         for variant in lattices.VARIANTS:
-            basis = basis_for(variant)
+            basis = lattices.generator_invariants(m, 1, variant)
             for _, vec in basis.generators:
                 if gl.evaluate(vec.p_top, vec.p_half_sq) != vec.sigma:
                     return False
@@ -367,7 +362,8 @@ def _check_identities(payload: tuple[int]) -> tuple[int, list[dict]]:
     run("generator_consistency", generators_consistent)
 
     def full_kernel_gcd(field: str) -> int:
-        return gcd(*(getattr(vec, field) for _, vec in basis_for("full_kernel").generators))
+        basis = lattices.generator_invariants(m, 1, "full_kernel")
+        return gcd(*(getattr(vec, field) for _, vec in basis.generators))
 
     run(
         "minimal_signature_is_gcd",
@@ -385,7 +381,7 @@ def _check_identities(payload: tuple[int]) -> tuple[int, list[dict]]:
     def kappa_integrality() -> bool:
         import random
 
-        basis = basis_for("signature_in_4Z")
+        basis = lattices.generator_invariants(m, 1, "signature_in_4Z")
         exprs = bundles.kappa_basis(m, 1)
         rng = random.Random(0xC0FFEE ^ m)
         vecs = [vec for _, vec in basis.generators]
@@ -438,7 +434,8 @@ def _check_identities(payload: tuple[int]) -> tuple[int, list[dict]]:
                         return False
                     for variant in lattices.VARIANTS:
                         if not lattices.lattice_span_equal(
-                            basis_for(variant), basis_for(variant, shifted)
+                            lattices.generator_invariants(m, 1, variant),
+                            lattices.generator_invariants(m, 1, variant, shifted),
                         ):
                             return False
                 return True
@@ -472,6 +469,7 @@ def _check_identities(payload: tuple[int]) -> tuple[int, list[dict]]:
 
             run("minimal_below_parallelizable", strictly_below_parallelizable)
 
+    plumbing._drop_answers(m)  # read while m is checked, and by nothing after
     return m, out
 
 

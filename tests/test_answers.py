@@ -1,9 +1,11 @@
 """The memo of checked per-dimension answers in ``plumbing``.
 
-``s_of_Q``, ``stolz_class_coeffs``, ``minimal_signature``, ``divisibility_report``
-and ``pairing_matrix`` keep their answer for the canonical Bezout pair per
-``(m, ord)``; other pairs are recomputed.  These tests compare warm answers with
-first computations, and check that a cache state never changes an outcome.
+``s_of_Q``, ``stolz_class_coeffs``, ``genus_coeffs`` (per genus),
+``generator_invariants`` (per variant), ``minimal_signature``, ``kappa_basis``,
+``divisibility_report`` and ``pairing_matrix`` keep their answer for the canonical
+Bezout pair per ``(m, ord)``; other pairs are recomputed.  These tests compare warm
+answers with first computations, check that a cache state never changes an
+outcome, and that the identity scan keeps no answer of an m it has checked.
 """
 
 from dataclasses import replace
@@ -12,12 +14,19 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from hclat import bundles, genera, plumbing
+from hclat import bundles, genera, lattices, plumbing, verify
 from hclat.bernoulli import bernoulli_abs, bernoulli_record, tangent_number
 from hclat.bundles import divisibility_report, kappa_basis, pairing_matrix
 from hclat.exact import BezoutPair
-from hclat.genera import genus_coeffs, stolz_class_coeffs
-from hclat.lattices import OrdParameter, generator_invariants, kernel_structure, minimal_signature
+from hclat.genera import GENERA, genus_coeffs, stolz_class_coeffs
+from hclat.lattices import (
+    VARIANTS,
+    OrdParameter,
+    generator_invariants,
+    kernel_structure,
+    lattice_span_equal,
+    minimal_signature,
+)
 from hclat.plumbing import bp_order, canonical_bezout, profile, require_bezout_for, s_of_Q
 
 M_MAX = 60
@@ -60,10 +69,15 @@ def test_divisors():
 
 
 def _answers(m: int, ord: int | None = None) -> list[str]:
-    """The answers at ``m`` that take no ord, or the three at ``(m, ord)``."""
+    """The six answers at ``m`` that take no ord, or the six at ``(m, ord)``."""
     if ord is None:
-        return [oracles.outcome(s_of_Q, m), oracles.outcome(stolz_class_coeffs, m)]
-    return [oracles.outcome(fn, m, ord) for fn in (minimal_signature, divisibility_report, pairing_matrix)]
+        return [oracles.outcome(s_of_Q, m), oracles.outcome(stolz_class_coeffs, m)] + [
+            oracles.outcome(genus_coeffs, genus, m) for genus in GENERA
+        ]
+    by_ord = (minimal_signature, divisibility_report, pairing_matrix, kappa_basis)
+    return [oracles.outcome(fn, m, ord) for fn in by_ord] + [
+        oracles.outcome(generator_invariants, m, ord, variant) for variant in VARIANTS
+    ]
 
 
 def _warm_answers_equal_first_computations(monkeypatch, sample_above):
@@ -96,9 +110,16 @@ def test_repeat_calls_return_the_kept_answer(m):
     assert stolz_class_coeffs(m) is stolz_class_coeffs(m)
     assert minimal_signature(m, 1) is minimal_signature(m, 1)
     assert divisibility_report(m, 1) is divisibility_report(m, 1)
+    for genus in GENERA:
+        assert genus_coeffs(genus, m) is genus_coeffs(genus, m)
+    for variant in VARIANTS:
+        assert generator_invariants(m, 1, variant) is generator_invariants(m, 1, variant)
     first, second = pairing_matrix(m, 1), pairing_matrix(m, 1)
     assert first is not second and first == second
     assert all(a is b for r1, r2 in zip(first, second) for a, b in zip(r1, r2))
+    first, second = kappa_basis(m, 1), kappa_basis(m, 1)
+    assert first is not second and first == second
+    assert all(a is b for a, b in zip(first, second))
 
 
 @pytest.mark.parametrize("m", [2, 3, 6, 12, 40])
@@ -110,6 +131,9 @@ def test_canonical_pair_passed_explicitly_hits_the_memo(m):
         assert stolz_class_coeffs(m, given) is stolz_class_coeffs(m)
         assert s_of_Q(m, given) is s_of_Q(m)
         assert pairing_matrix(m, 1, given)[0][0] is pairing_matrix(m, 1)[0][0]
+        assert kappa_basis(m, 1, given)[0] is kappa_basis(m, 1)[0]
+        for variant in VARIANTS:
+            assert generator_invariants(m, 1, variant, given) is generator_invariants(m, 1, variant)
 
 
 @pytest.mark.parametrize("m", [2, 6, 12, 40])
@@ -120,9 +144,10 @@ def test_shifted_pair_is_recomputed_and_checked(monkeypatch, m):
         calls.append(n)
         return require_bezout_for(n, bezout)
 
-    monkeypatch.setattr(plumbing, "require_bezout_for", counting)
-    monkeypatch.setattr(genera, "require_bezout_for", counting)
-    s_base, coeffs = s_of_Q(m), stolz_class_coeffs(m)
+    for module in (plumbing, genera, lattices, bundles):
+        monkeypatch.setattr(module, "require_bezout_for", counting)
+    s_base, coeffs, exprs = s_of_Q(m), stolz_class_coeffs(m), kappa_basis(m, 1)
+    bases = {variant: generator_invariants(m, 1, variant) for variant in VARIANTS}
     for t in (-2, -1, 1, 2):
         shifted = canonical_bezout(m).shifted(t)
         for _ in range(2):
@@ -134,14 +159,28 @@ def test_shifted_pair_is_recomputed_and_checked(monkeypatch, m):
             calls.clear()
             assert stolz_class_coeffs(m, shifted) != coeffs
             assert calls == [m]
+            calls.clear()
+            assert kappa_basis(m, 1, shifted) != exprs
+            assert calls == [m]
+            for variant, basis in bases.items():
+                calls.clear()
+                basis_t = generator_invariants(m, 1, variant, shifted)
+                assert calls == [m]
+                assert basis_t != basis and lattice_span_equal(basis_t, basis)
         assert pairing_matrix(m, 1, shifted) == pairing_matrix(m, 1)
     assert s_of_Q(m) is s_base and stolz_class_coeffs(m) is coeffs
+    assert kappa_basis(m, 1) == exprs and kappa_basis(m, 1)[0] is exprs[0]
+    assert all(generator_invariants(m, 1, v) is basis for v, basis in bases.items())
 
 
 WITH_PAIR = [
     ("s_of_Q", lambda m, b: s_of_Q(m, b)),
     ("stolz_class_coeffs", lambda m, b: stolz_class_coeffs(m, b)),
     ("pairing_matrix", lambda m, b: pairing_matrix(m, 1, b)),
+    ("kappa_basis", lambda m, b: kappa_basis(m, 1, b)),
+] + [
+    (f"generator_invariants-{variant}", lambda m, b, v=variant: generator_invariants(m, 1, v, b))
+    for variant in VARIANTS
 ]
 
 
@@ -164,6 +203,16 @@ def test_mutating_a_returned_matrix_changes_nothing():
     assert pairing_matrix(6, 1) == [[1, 0], [0, 1]]
 
 
+@pytest.mark.parametrize("m", [1, 6])
+def test_mutating_a_returned_kappa_basis_changes_nothing(m):
+    exprs = kappa_basis(m, 1)
+    kept = list(exprs)
+    exprs[0] = exprs[-1]
+    exprs.append(exprs[0])
+    exprs.reverse()
+    assert kappa_basis(m, 1) == kept
+
+
 class TestARaiseIsNotKept:
     def test_argument_errors_raise_again(self):
         for fn, args in [
@@ -172,6 +221,12 @@ class TestARaiseIsNotKept:
             (minimal_signature, (0, 1)),
             (divisibility_report, (0, 1)),
             (pairing_matrix, (1, 1)),
+            (genus_coeffs, ("L", 0)),
+            (genus_coeffs, ("Ph", 0)),
+            (generator_invariants, (1, 1)),
+            (generator_invariants, (6, 1, "sig4")),
+            (kappa_basis, (0, 1)),
+            (kappa_basis, (6, 0)),
         ]:
             first = oracles.outcome(fn, *args)
             assert first.startswith("ValueError")
@@ -187,6 +242,26 @@ class TestARaiseIsNotKept:
                     s_of_Q(6)
         assert s_of_Q(6) == good
 
+    def test_failed_closed_forms_raise_again_then_recover(self, monkeypatch, fresh_answers):
+        good = oracles.outcome(oracles.genus_coeffs, "L", 14)
+        bad = replace(profile(7), tangent=profile(7).tangent + 2)
+        with monkeypatch.context() as patch:
+            patch.setattr(genera, "profile", lambda m: bad if m == 7 else profile(m))
+            for _ in range(2):
+                with pytest.raises(RuntimeError, match="closed forms of s_7 disagree"):
+                    genus_coeffs("L", 14)
+        assert oracles.outcome(genus_coeffs, "L", 14) == good
+
+    def test_non_integral_generator_raises_again_then_recovers(self, monkeypatch, fresh_answers):
+        good = oracles.outcome(oracles.generator_invariants, 8, 1, "full_kernel", None)
+        bad = replace(profile(4), tangent=profile(4).tangent + 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(lattices, "profile", lambda m: bad if m == 4 else profile(m))
+            for _ in range(2):
+                with pytest.raises(RuntimeError, match="second generator sigma is not an integer"):
+                    generator_invariants(8)
+        assert oracles.outcome(generator_invariants, 8) == good
+
     def test_pairing_must_be_the_identity(self, monkeypatch, fresh_answers):
         terms = bundles._kappa_terms
 
@@ -199,6 +274,15 @@ class TestARaiseIsNotKept:
                 with pytest.raises(RuntimeError, match="does not pair to the identity at m=6"):
                     pairing_matrix(6, 1)
         assert pairing_matrix(6, 1) == [[1, 0], [0, 1]]
+
+
+def test_identity_scan_keeps_no_answer_of_a_checked_m(fresh_answers):
+    for m in (5, 30, 31, 45):
+        _answers(m)
+        _answers(m, 1)
+    assert {key[1] for key in plumbing._answers} == {5, 30, 31, 45}
+    assert verify.verify_identity_suite(30).status == "verified"
+    assert {key[1] for key in plumbing._answers} == {31, 45}
 
 
 NOT_INT = [6.0, True, Fraction(6)]

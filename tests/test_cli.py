@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import hclat
-from hclat import verify
+from hclat import genera, verify
 from hclat.cli import main
 
 
@@ -193,6 +193,17 @@ class TestErrorHandling:
         assert main(["coeffs", "--genus", "Ph", "--m", str(10**20)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("genus", ["Ph", "AhatPh"])
+    @pytest.mark.parametrize("m", [10**20, 10**20 + 1])
+    def test_overflow_message_names_m(self, capsys, genus, m):
+        message = f"m={m}: its factorial (2m-1)! is too large to compute"
+        assert main(["coeffs", "--genus", genus, "--m", str(m)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        for _ in range(2):  # a raise is not kept
+            with pytest.raises(OverflowError) as info:
+                genera.genus_coeffs(genus, m)
+            assert str(info.value) == message
 
     def test_workers_below_one_is_exit_1(self, capsys):
         for claim in verify.CLAIMS:

@@ -32,7 +32,7 @@ class TestCoefficientConstants:
             s(n)  # raises if the two closed forms disagree
 
     @pytest.mark.parametrize("n", [1, 2, 7, 40])
-    def test_corrupted_tangent_raises(self, n, monkeypatch):
+    def test_corrupted_tangent_raises(self, n, monkeypatch, fresh_answers):
         # sigma_n is built from num4, so only the raw-tangent form can see T_n drift
         bad = replace(profile(n), tangent=profile(n).tangent + 2)
         monkeypatch.setattr(genera, "profile", lambda m: bad if m == n else profile(m))

@@ -149,7 +149,7 @@ class TestGeneratorInvariants:
         with pytest.raises(ValueError):
             generator_invariants(2, 1, "sig4")
 
-    def test_non_integral_entry_raises(self, monkeypatch):
+    def test_non_integral_entry_raises(self, monkeypatch, fresh_answers):
         # an odd T_4 makes T_4^2/2, hence the second signature at m = 8, a half-integer
         bad = replace(profile(4), tangent=profile(4).tangent + 1)
         monkeypatch.setattr(lattices, "profile", lambda m: bad if m == 4 else profile(m))
