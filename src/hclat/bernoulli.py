@@ -13,10 +13,13 @@ integer, so by induction on ``j`` and then ``k`` every ``u_j[k]`` is one:
 the divisions are exact and never performed.  An entry costs one
 multiplication of a big integer by a small one and one addition (``h``
 needs two multiplications), and is smaller than ``h_j[k]`` by ``(j-k)!``
-and ``k-1`` bits.  Column ``j`` needs only column ``j-1``, so ``T_1..T_n``
-cost ``O(n^2)`` such steps and one column, the stream's whole state.  Point
-queries go through a process-wide memo that keeps every ``T_n`` and record
-and commits only whole columns; :func:`record_range`, for scans, keeps nothing.
+and ``k-1`` bits.  Entry ``(j, k)`` needs only ``(j-1, k)`` and ``(j, k-1)``,
+so ``T_1..T_n`` cost ``O(n^2)`` such steps in either of two orders.  Point
+queries, which know no bound, go through a process-wide memo that steps whole
+columns and keeps every ``T_n`` and record.  :func:`record_range`, for
+scans, knows its bound, keeps nothing and sweeps ``j <= limit`` by
+anti-diagonals ``s = j + k``, holding at most ``limit // 2 + 1`` entries,
+about a third of column ``limit``'s bits.
 
 From ``T_n`` everything else is a single reduced fraction:
 
@@ -45,7 +48,6 @@ import threading
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from math import gcd, isqrt
 
 from .exact import _require_index, nu2, padic_valuation
@@ -95,12 +97,24 @@ def _advance(column: list[int]) -> None:
     column.append(u)  # u_j[j] = u_j[j-1]
 
 
-def _tangents() -> Iterator[int]:
-    """Yield ``T_1, T_2, ...`` forever, holding only the newest column."""
-    column = [1]
-    while True:
-        yield column[-1] << (len(column) - 1)
-        _advance(column)
+def _tangents(limit: int) -> Iterator[int]:
+    """Yield ``T_1 .. T_limit``, sweeping the triangle ``j <= limit`` by anti-diagonals."""
+    diagonal: list[int] = []  # u_{s-k}[k] on diagonal s, k rising; its inputs lie on s-1
+    for s in range(2, 2 * limit + 1):
+        j, odd = divmod(s, 2)
+        if not odd:
+            diagonal.append(diagonal[-1] if diagonal else 1)  # u_j[j] = u_j[j-1], u_1[1] = 1
+        # from the top down, so u_{s-k}[k-1] is read before it is stepped; c = C(d+2, 2)
+        # from d = s-2k = 1 or 2 up, and C(d+4, 2) - C(d+2, 2) = 2d+5
+        c, step = (3, 7) if odd else (6, 9)
+        for i in range(len(diagonal) - 2 + odd, 0, -1):
+            diagonal[i] += c * diagonal[i - 1]
+            c += step
+            step += 4
+        if s > limit + 1:
+            del diagonal[0]  # u_limit[k], read by u_limit[k+1] just now
+        if not odd:
+            yield diagonal[-1] << (j - 1)
 
 
 def _divmod_mersenne(x: int, bits: int) -> tuple[int, int]:
@@ -201,7 +215,7 @@ def record_range(
     _require_index(limit, "limit", 0)
     return (
         _record(n, t)
-        for n, t in enumerate(islice(_tangents(), limit), 1)
+        for n, t in enumerate(_tangents(limit), 1)
         if keep is None or keep(n)
     )
 

@@ -192,7 +192,11 @@ def bp_order(m: int) -> int:
 def pk2_of_Q(k: int) -> int:
     """The Pontryagin number ``p_k^2`` of the hyperbolic plumbing in dimension 8k."""
     _require_index(k, "k", 1)
-    return 2 * lambda_k(k) ** 2 * a_m(k) ** 2 * factorial(2 * k - 1) ** 2
+    try:
+        fact = factorial(2 * k - 1)
+    except OverflowError:
+        raise OverflowError(f"k={k}: its factorial (2k-1)! is too large to compute") from None
+    return 2 * lambda_k(k) ** 2 * a_m(k) ** 2 * fact**2
 
 
 def _bezout_terms(k: int, bezout: BezoutPair) -> tuple[int, int]:

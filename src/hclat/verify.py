@@ -13,7 +13,7 @@ Three claims are scanned over ranges of the dimension parameter m:
 
 Failures are report entries, never exceptions; only a tangent number that
 fails its record's certificate raises.  The Bernoulli stream is produced
-once by the parent from ``bernoulli.record_range``, which keeps one column,
+once by the parent from ``bernoulli.record_range``, which holds one diagonal,
 not the library's memo.  It reduces only the records a check reads, every
 even n and the odd n <= m_max/2, and keeps num4_n only while 2n <= m_max and
 m = 2n is not yet checked: at most m_max/4 + 1 values at any time, and none

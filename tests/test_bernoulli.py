@@ -173,23 +173,51 @@ class TestEngineAgainstSeidelTriangle:
 
 class TestScaledColumns:
     def test_stream_matches_unscaled_recurrence_to_1000(self):
-        assert list(islice(_tangents(), 1000)) == brent_harvey_tangents(1000)
+        assert list(_tangents(1000)) == brent_harvey_tangents(1000)
 
     def test_entries_are_unscaled_entries_over_factorials(self):
         facts = [factorial(d) for d in range(200)]
-        scaled = _tangents()
+        column = [1]  # the engine's column u_j[1..j], stepped by _advance
         for j, (t, unscaled) in enumerate(islice(brent_harvey_columns(), 200), start=1):
-            assert next(scaled) == t
-            # the suspended generator's frame holds its live column u_j[1..j]
-            column = scaled.gi_frame.f_locals["column"]
+            assert column[-1] << (j - 1) == t
             assert len(column) == len(unscaled) == j
             for k, (h, u) in enumerate(zip(unscaled, column), start=1):
                 assert divmod(h, facts[j - k] << (k - 1)) == (u, 0), (j, k)
+            _advance(column)
 
     @pytest.mark.long
     def test_fresh_engine_matches_unscaled_recurrence_to_4000(self):
-        # past the triangle's 3000, so the overlap with an independent kernel goes on
-        assert SeidelEngine().tangent_range(4000) == brent_harvey_tangents(4000)
+        # past the triangle's 3000, so the overlap with an independent kernel goes on;
+        # the bounded sweep is held to the same kernel
+        expected = brent_harvey_tangents(4000)
+        assert SeidelEngine().tangent_range(4000) == expected
+        assert list(_tangents(4000)) == expected
+
+
+class TestDiagonalSweep:
+    @pytest.mark.parametrize("limit", [*range(65), 1000])
+    def test_sweep_matches_the_engine(self, limit):
+        # small limits cover every clip edge of the triangle and the first dropped entry
+        assert list(_tangents(limit)) == tangent_numbers(limit)
+
+    def test_sweep_holds_one_short_diagonal(self):
+        limit = 600
+        column = [1]
+        while len(column) < limit:
+            _advance(column)
+        column_bits = sum(u.bit_length() for u in column)
+        sweep = _tangents(limit)
+        lengths, bits = [], []
+        for _ in sweep:
+            # the suspended generator's frame holds its whole state, the live diagonal
+            diagonal = sweep.gi_frame.f_locals["diagonal"]
+            lengths.append(len(diagonal))
+            bits.append(sum(u.bit_length() for u in diagonal))
+        # at T_j, diagonal s = 2j clipped to j <= limit: k from max(1, 2j - limit) to j
+        assert lengths == [j - max(1, 2 * j - limit) + 1 for j in range(1, limit + 1)]
+        assert max(lengths) <= limit // 2 + 1
+        # 0.323 of the column at limit 600
+        assert max(bits) <= 0.4 * column_bits
 
 
 class _InterruptOnFirstAdd(int):
@@ -279,7 +307,7 @@ class TestExplicitColumnState:
 def _assert_saved_columns_resume(saved_at, ahead=20):
     """A copy of the column after ``j`` steps, for each ``j`` in ``saved_at``, continued
     by ``_advance`` alone yields ``T_j, T_{j+1}, ...`` as one :func:`_tangents` does."""
-    expected = list(islice(_tangents(), max(saved_at) + ahead))
+    expected = list(_tangents(max(saved_at) + ahead))
     column = [1]
     for j in range(1, max(saved_at) + 1):
         if j in saved_at:
@@ -293,7 +321,7 @@ def _assert_saved_columns_resume(saved_at, ahead=20):
 
 
 def _assert_records_match_gcd_reduction(limit):
-    for n, t in enumerate(islice(_tangents(), limit), start=1):
+    for n, t in enumerate(_tangents(limit), start=1):
         rec = _record(n, t)
         assert (rec.abs_value, rec.num4, rec.j) == gcd_reduction(n, t), n
 

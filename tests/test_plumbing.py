@@ -138,6 +138,12 @@ class TestPk2OfQ:
     def test_values(self, k, value):
         assert pk2_of_Q(k) == value
 
+    @pytest.mark.parametrize("k", [10**20, 10**20 + 1])
+    def test_overflow_message_names_k(self, k):
+        with pytest.raises(OverflowError) as info:
+            pk2_of_Q(k)
+        assert str(info.value) == f"k={k}: its factorial (2k-1)! is too large to compute"
+
 
 class TestSofQ:
     def test_minus_one_in_dimensions_8_and_16(self):

@@ -357,8 +357,8 @@ class TestPrefixStream:
     def test_wrong_tangent_number_stops_the_scan(self, monkeypatch, capsys, corrupt):
         stream = bernoulli._tangents
 
-        def corrupted_at_40():
-            for n, t in enumerate(stream(), start=1):
+        def corrupted_at_40(limit):
+            for n, t in enumerate(stream(limit), start=1):
                 yield corrupt(t) if n == 40 else t
 
         monkeypatch.setattr(bernoulli, "_tangents", corrupted_at_40)
