@@ -175,9 +175,9 @@ class SeidelEngine:
         return self._tangent[1 : limit + 1]
 
     def record(self, n: int) -> BernoulliRecord:
-        _require_index(n, "n", 1)
-        rec = self._records.get(n)
+        rec = self._records.get(n) if type(n) is int else None  # kept only for a gated n
         if rec is None:
+            _require_index(n, "n", 1)
             rec = self._records.setdefault(n, _record(n, self.tangent(n)))
         return rec
 

@@ -28,12 +28,12 @@ from .exact import BezoutPair, _require_index
 from .lattices import (
     InvariantVector,
     OrdParameter,
-    _as_ord,
+    _ord_gate,
     generator_invariants,
     minimal_ahat,
     minimal_signature,
 )
-from .plumbing import _bezout_terms, _checked_answer, lambda_k, profile, require_bezout_for
+from .plumbing import _answer, _bezout_terms, lambda_k, profile, require_bezout_for
 
 __all__ = [
     "KappaExpression",
@@ -70,8 +70,7 @@ def bundle_signature_divisor(m: int, ord: OrdParameter | int = 1) -> int:
     4 in the three exceptional dimensions, the minimal highly connected
     signature otherwise.
     """
-    _require_index(m, "m", 1)
-    ord = _as_ord(ord, m)
+    ord = _ord_gate(m, ord, None)
     if m in (1, 2, 4):
         return 4
     value, _ = minimal_signature(m, ord)
@@ -128,14 +127,11 @@ def kappa_basis(
     The basis for the canonical pair (omitted or passed) is memoized per
     ``(m, ord)``, about 7 KB at ``m = 600``; each call returns a new list.
     """
-    _require_index(m, "m", 1)
-    ord = _as_ord(ord, m)
-    exprs = _checked_answer("kappa_basis", m, bezout, lambda b: _kappa_basis(m, ord, b), ord.value)
-    return list(exprs)
+    return list(_answer(_kappa_basis, _ord_gate, m, ord, bezout))
 
 
 def _kappa_basis(
-    m: int, ord: OrdParameter, bezout: BezoutPair | None
+    m: int, ord: OrdParameter, bezout: BezoutPair | None, arg: None
 ) -> tuple[KappaExpression, ...]:
     return tuple(
         KappaExpression(Fraction(tn, den), Fraction(hn, den))
@@ -161,16 +157,12 @@ def pairing_matrix(
     other pair is recomputed and checked on every call.  Each call returns
     new lists.
     """
-    _require_index(m, "m", 1)  # at m = 1 a bad pair is reported before generator_invariants' m >= 2
-    ord = _as_ord(ord, m)
-    rows = _checked_answer(
-        "pairing_matrix", m, bezout, lambda b: _pairing_matrix(m, ord, b), ord.value
-    )
-    return [list(row) for row in rows]
+    # gated at m >= 1: at m = 1 a bad pair is reported before generator_invariants' m >= 2
+    return [list(row) for row in _answer(_pairing_matrix, _ord_gate, m, ord, bezout)]
 
 
 def _pairing_matrix(
-    m: int, ord: OrdParameter, bezout: BezoutPair | None
+    m: int, ord: OrdParameter, bezout: BezoutPair | None, arg: None
 ) -> tuple[tuple[Fraction, ...], ...]:
     terms = _kappa_terms(m, ord, bezout)
     basis = generator_invariants(m, ord, "signature_in_4Z", bezout)
@@ -209,14 +201,10 @@ def divisibility_report(m: int, ord: OrdParameter | int = 1) -> DivisibilityRepo
     is built on first use from :func:`~hclat.lattices.minimal_signature`,
     whose integrality check runs then, and ``minimal_ahat``.
     """
-    _require_index(m, "m", 1)
-    ord = _as_ord(ord, m)
-    return _checked_answer(
-        "divisibility_report", m, None, lambda _: _divisibility_report(m, ord), ord.value
-    )
+    return _answer(_divisibility_report, _ord_gate, m, ord, None)
 
 
-def _divisibility_report(m: int, ord: OrdParameter) -> DivisibilityReport:
+def _divisibility_report(m: int, ord: OrdParameter, bezout: None, arg: None) -> DivisibilityReport:
     sig = bundle_signature_divisor(m, ord)
     ahat = minimal_ahat(m) if m >= 2 else None
     return DivisibilityReport(

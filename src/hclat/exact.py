@@ -80,8 +80,8 @@ def normalize_bezout(num: int, denom: int) -> BezoutPair:
 
 def _require_index(value: object, name: str, lo: int) -> None:
     """ValueError unless ``value`` is an int, not a bool, and ``>= lo``: the one check of
-    every public index argument, made before any memo lookup, since ``6.0`` and ``True``
-    hash and compare equal to ``6`` and ``1`` and would otherwise find their entries."""
+    every public index argument.  A memo read before it requires ``type(value) is int``, as
+    ``6.0`` and ``True`` hash and compare equal to ``6`` and ``1`` and would find their entries."""
     if type(value) is not int:
         raise ValueError(f"{name} must be an int, got {value!r}")
     if value < lo:

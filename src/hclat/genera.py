@@ -42,13 +42,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
 from .exact import BezoutPair, _require_index
 from .plumbing import (
     DimensionProfile,
+    _answer,
     _bezout_terms,
-    _checked_answer,
+    _factorial,
+    _index_from_1,
     profile,
     require_bezout_for,
     sigma_over_a,
@@ -126,19 +127,20 @@ def genus_coeffs(genus: str, m: int) -> GenusCoefficients:
     ``(genus, m)``, 3.4 to 5.5 KB at ``m = 600``; the closed forms of ``s_n`` are compared
     on the first computation.  Too large a ``(2m-1)!`` raises OverflowError naming m.
     """
+    return _answer(_genus_coeffs, _genus_gate, m, 1, None, genus)
+
+
+def _genus_gate(m: int, ord: int, genus: str) -> int:
     if genus not in GENERA:
         raise ValueError(f"unknown genus {genus!r}; expected one of {GENERA}")
     _require_index(m, "m", 1)
-    return _checked_answer(genus, m, None, lambda _: _genus_coeffs(genus, m))
+    return ord
 
 
-def _genus_coeffs(genus: str, m: int) -> GenusCoefficients:
+def _genus_coeffs(m: int, ord: int, bezout: None, genus: str) -> GenusCoefficients:
     # ph needs no Bernoulli data: its (2m-1)! comes from math, not from a profile
     if genus in ("Ph", "AhatPh"):
-        try:
-            fact = factorial(2 * m - 1)
-        except OverflowError:
-            raise OverflowError(f"m={m}: its factorial (2m-1)! is too large to compute") from None
+        fact = _factorial(m, "m")
     if m % 2:
         if genus == "L":
             top = s(m)
@@ -158,7 +160,7 @@ def _genus_coeffs(genus: str, m: int) -> GenusCoefficients:
         q = fact // pk.fact**2
         half = Fraction(2 * (-1) ** k * pk.num4 * q + pk.j, 2 * pk.j * fact)
         return GenusCoefficients(m, Fraction(-1, fact), half)
-    pk, pm = profile(k), profile(m)
+    pm, pk = profile(m), profile(k)  # m's first: too large an m is refused by its own name
     q = pm.fact // pk.fact**2
     if genus == "L":
         # (s_k^2 - s_{2k}) / 2, with s_k = nk / (a_k (2k-1)! j_k)
@@ -189,11 +191,12 @@ def stolz_class_coeffs(m: int, bezout: BezoutPair | None = None) -> GenusCoeffic
     cancellation is asserted on their first computation; any other pair is
     recomputed and checked on every call.
     """
-    _require_index(m, "m", 1)
-    return _checked_answer("stolz_class_coeffs", m, bezout, lambda b: _stolz_class_coeffs(m, b))
+    return _answer(_stolz_class_coeffs, _index_from_1, m, 1, bezout)
 
 
-def _stolz_class_coeffs(m: int, bezout: BezoutPair | None) -> GenusCoefficients:
+def _stolz_class_coeffs(
+    m: int, ord: int, bezout: BezoutPair | None, arg: None
+) -> GenusCoefficients:
     bezout = require_bezout_for(m, bezout)
     prof = profile(m)
     factor = sigma_over_a(m, prof.num4)

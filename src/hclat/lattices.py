@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .exact import BezoutPair, _require_index, gcd_with_square, nu2
-from .plumbing import _bezout_terms, _checked_answer, lambda_k, profile, require_bezout_for
+from .plumbing import _answer, _bezout_terms, lambda_k, profile, require_bezout_for
 
 __all__ = [
     "VARIANTS",
@@ -95,6 +95,11 @@ def _as_ord(ord: "OrdParameter | int", m: int) -> OrdParameter:
     if type(ord) is not int:  # a bool or Fraction equal to an int must not stand in for it
         return OrdParameter(ord, m)
     return _ords.get((ord, m)) or _ords.setdefault((ord, m), OrdParameter(ord, m))
+
+
+def _ord_gate(m: int, ord: "OrdParameter | int", arg: None) -> OrdParameter:
+    _require_index(m, "m", 1)
+    return _as_ord(ord, m)
 
 
 @dataclass(frozen=True)
@@ -183,17 +188,18 @@ def generator_invariants(
     passed) is memoized per (variant, m, ord), about 14 KB at ``m = 600``, and
     checked integral on its first computation.
     """
+    return _answer(_generator_invariants, _variant_gate, m, ord, bezout, variant)
+
+
+def _variant_gate(m: int, ord: OrdParameter | int, variant: str) -> OrdParameter:
     _require_index(m, "m", 2)
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
-    ord = _as_ord(ord, m)
-    return _checked_answer(
-        variant, m, bezout, lambda b: _generator_invariants(m, ord, variant, b), ord.value
-    )
+    return _as_ord(ord, m)
 
 
 def _generator_invariants(
-    m: int, ord: OrdParameter, variant: str, bezout: BezoutPair | None
+    m: int, ord: OrdParameter, bezout: BezoutPair | None, variant: str
 ) -> LatticeBasis:
     bezout = require_bezout_for(m, bezout)
     prof = profile(m)
@@ -251,14 +257,12 @@ def minimal_signature(m: int, ord: OrdParameter | int = 1) -> tuple[int, int | N
     ``m`` the value is the profile's own ``sigma``), and the integrality of
     ``2^{i_m} gcd(...)`` is checked on its first computation.
     """
-    _require_index(m, "m", 1)
-    ord = _as_ord(ord, m)
-    return _checked_answer(
-        "minimal_signature", m, None, lambda _: _minimal_signature(m, ord), ord.value
-    )
+    return _answer(_minimal_signature, _ord_gate, m, ord, None)
 
 
-def _minimal_signature(m: int, ord: OrdParameter) -> tuple[int, int | None]:
+def _minimal_signature(
+    m: int, ord: OrdParameter, bezout: None, arg: None
+) -> tuple[int, int | None]:
     if m in (1, 2, 4):
         return 1, None
     if m % 2:

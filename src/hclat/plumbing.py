@@ -18,7 +18,11 @@ Next to the profiles sits one memo of checked answers, shared by ``s_of_Q``,
 variant), ``minimal_signature``, ``kappa_basis``, ``divisibility_report`` and
 ``pairing_matrix``: each answer is computed, and cross-checked, once per ``(m, ord)``
 for the canonical Bezout pair; any other pair is recomputed and checked on every
-call.  The identity scan drops m's answers once m is checked.
+call.  A call is answered from the memo before any argument check when ``m`` and
+``ord`` are ints (not bools) and its pair is omitted or the kept profile's own:
+an entry is stored under its function, ``m``, ``ord`` and genus or variant only
+after those exact arguments passed every check, so a hit is a valid call and no
+other input reaches it.  The identity scan drops m's answers once m is checked.
 """
 
 from __future__ import annotations
@@ -103,51 +107,76 @@ class DimensionProfile:
 _profiles: dict[int, DimensionProfile] = {}
 
 
+def _factorial(k: int, name: str) -> int:
+    """``(2k-1)!``; OverflowError naming ``k`` when it is too large to compute."""
+    try:
+        return factorial(2 * k - 1)
+    except OverflowError:
+        msg = f"{name}={k}: its factorial (2{name}-1)! is too large to compute"
+        raise OverflowError(msg) from None
+
+
 def profile(m: int) -> DimensionProfile:
-    """The :class:`DimensionProfile` for dimension ``4m``, built once per m."""
-    _require_index(m, "m", 1)
-    prof = _profiles.get(m)
+    """The :class:`DimensionProfile` for dimension ``4m``, built once per m.  Too large a
+    ``(2m-1)!`` raises OverflowError naming m before any tangent number is drawn."""
+    prof = _profiles.get(m) if type(m) is int else None
     if prof is not None:
         return prof
+    _require_index(m, "m", 1)
+    fact = _factorial(m, "m")
     rec = bernoulli_record(m)
     bezout = normalize_bezout(rec.num4, rec.j)
     prof = DimensionProfile(
-        m, a_m(m), sigma_m(m, rec.num4), rec.num4, rec.j, bezout,
-        factorial(2 * m - 1), tangent_number(m),
+        m, a_m(m), sigma_m(m, rec.num4), rec.num4, rec.j, bezout, fact, tangent_number(m)
     )
     return _profiles.setdefault(m, prof)
 
 
 _T = TypeVar("_T")
 
-_answers: dict[tuple[str, int, int], Any] = {}
+_answers: dict[tuple[Callable[..., Any], int, int, Any], Any] = {}
 
 
-def _checked_answer(
-    name: str,
-    m: int,
-    bezout: BezoutPair | None,
-    compute: Callable[[BezoutPair | None], _T],
-    ord: int = 1,
+def _answer(
+    compute: Callable[..., _T], gate: Callable[..., Any], m: int, ord: Any,
+    bezout: BezoutPair | None, arg: str | None = None,
 ) -> _T:
-    """``compute(bezout)``, kept under ``(name, m, ord)`` when ``bezout`` is None or
-    the canonical pair of ``m``, and then computed as ``compute(None)``.
-
-    The caller has gated ``m``.  ``compute`` checks the rest and runs its cross-checks,
-    so each runs on the first computation of an answer; a raise leaves nothing behind.  Any
-    other pair is passed to ``compute``, which checks it, on every call.  ``name`` is the
-    function's, or the genus or variant where one function gives several answers.  The
+    """``compute(m, ord, bezout, arg)``, kept under ``(compute, m, ord, arg)`` for the
+    canonical pair and read back from the raw arguments by the rule of the module docstring.
+    On a miss, ``gate(m, ord, arg)`` checks the arguments and returns the checked ord (an
+    ``OrdParameter``, or the 1 of an answer that takes none); then any pair but the canonical
+    one goes to ``compute``, which checks it, on every call.  A raise keeps nothing.  The
     twelve answers at one ``(m, ord)`` take about 14 KB at ``m = 60`` and 62 KB at ``m = 600``.
     """
+    if type(m) is int and type(ord) is int and (
+        bezout is None or bezout is getattr(_profiles.get(m), "bezout", None)
+    ):
+        try:
+            out = _answers.get((compute, m, ord, arg))
+        except TypeError:  # an unhashable arg, which the gate refuses
+            out = None
+        if out is not None:
+            return out
+    ord = gate(m, ord, arg)
     if bezout is not None:
         canonical = profile(m).bezout
         if bezout is not canonical and bezout != canonical:
-            return compute(bezout)
-    key = (name, m, ord)
+            return compute(m, ord, bezout, arg)
+    key = (compute, m, getattr(ord, "value", ord), arg)
     out = _answers.get(key)
     if out is None:
-        out = _answers.setdefault(key, compute(None))
+        out = _answers.setdefault(key, compute(m, ord, None, arg))
     return out
+
+
+def _index_from_1(m: int, ord: int, arg: None) -> int:
+    _require_index(m, "m", 1)
+    return ord
+
+
+def _index_from_2(m: int, ord: int, arg: None) -> int:
+    _require_index(m, "m", 2)
+    return ord
 
 
 def _drop_answers(m: int) -> None:
@@ -192,11 +221,7 @@ def bp_order(m: int) -> int:
 def pk2_of_Q(k: int) -> int:
     """The Pontryagin number ``p_k^2`` of the hyperbolic plumbing in dimension 8k."""
     _require_index(k, "k", 1)
-    try:
-        fact = factorial(2 * k - 1)
-    except OverflowError:
-        raise OverflowError(f"k={k}: its factorial (2k-1)! is too large to compute") from None
-    return 2 * lambda_k(k) ** 2 * a_m(k) ** 2 * fact**2
+    return 2 * lambda_k(k) ** 2 * a_m(k) ** 2 * _factorial(k, "k") ** 2
 
 
 def _bezout_terms(k: int, bezout: BezoutPair) -> tuple[int, int]:
@@ -261,11 +286,10 @@ def s_of_Q(m: int, bezout: BezoutPair | None = None) -> int:
     an int of about 2.9 KB at ``m = 600``, and the two formulas are compared on
     its first computation; any other pair is recomputed and checked on every call.
     """
-    _require_index(m, "m", 2)
-    return _checked_answer("s_of_Q", m, bezout, lambda b: _s_of_Q(m, b))
+    return _answer(_s_of_Q, _index_from_2, m, 1, bezout)
 
 
-def _s_of_Q(m: int, bezout: BezoutPair | None) -> int:
+def _s_of_Q(m: int, ord: int, bezout: BezoutPair | None, arg: None) -> int:
     if m % 2:
         if bezout is not None:
             require_bezout_for(m, bezout)

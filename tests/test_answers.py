@@ -83,14 +83,20 @@ def _answers(m: int, ord: int | None = None) -> list[str]:
 def _warm_answers_equal_first_computations(monkeypatch, sample_above):
     cases = [(m, None) for m in range(1, M_MAX + 1)]
     cases += [(m, ord) for m in range(1, M_MAX + 1) for ord in valid_ords(m, sample_above)]
-    monkeypatch.setattr(plumbing, "_answers", {})
+    warm: dict = {}
+    monkeypatch.setattr(plumbing, "_answers", warm)
     for case in cases:
         _answers(*case)
-    warm = [_answers(*case) for case in cases]
-    # each answer again in a memo of its own, so no key can stand in for another
-    for case, answer in zip(cases, warm):
+    kept = len(warm)
+    assert kept
+    # each warm answer against the same answer again in a memo of its own, so no key can
+    # stand in for another; only the outcomes of one case are held at a time
+    for case in cases:
+        monkeypatch.setattr(plumbing, "_answers", warm)
+        answer = _answers(*case)
         monkeypatch.setattr(plumbing, "_answers", {})
         assert _answers(*case) == answer, case
+    assert len(warm) == kept  # every warm read was answered from the swapped memo
     return len(cases)
 
 
@@ -193,6 +199,20 @@ def test_invalid_pair_raises_cold_and_warm(monkeypatch, fn, m, other):
     assert cold.startswith("ValueError: Bezout pair is for")
     fn(m, None)
     assert oracles.outcome(fn, m, wrong) == cold
+
+
+@pytest.mark.parametrize("m", [3, 6, 12])
+def test_a_genus_and_a_variant_never_answer_for_each_other(m):
+    for genus in GENERA:
+        genus_coeffs(genus, m)
+    for variant in VARIANTS:
+        generator_invariants(m, 1, variant)
+    for name in (*GENERA, *VARIANTS, ["L"], None):
+        if name not in GENERA:
+            assert oracles.outcome(genus_coeffs, name, m).startswith("ValueError: unknown genus")
+        if name not in VARIANTS:
+            with pytest.raises(ValueError, match="variant must be one of"):
+                generator_invariants(m, 1, name)
 
 
 def test_mutating_a_returned_matrix_changes_nothing():
@@ -322,6 +342,22 @@ WITH_ORD = [
     pairing_matrix,
     divisibility_report,
 ]
+
+
+@pytest.mark.parametrize("m", [3, 5, 6, 12])
+@pytest.mark.parametrize("bad", [True, 1.0, Fraction(1), "OrdParameter for m + 2"], ids=repr)
+def test_non_int_ord_raises_the_same_cold_and_warm(cold, m, bad):
+    # each equals 1 or stands for it, and 1 is a valid ord at every m here
+    if bad == "OrdParameter for m + 2":
+        bad = OrdParameter(1, m + 2)
+        expected = f"ValueError: ord parameter is for m={m + 2}, not m={m}"
+    else:
+        expected = "ValueError: ord must be a positive integer"
+    first = [oracles.outcome(fn, m, bad) for fn in WITH_ORD]
+    assert first == [expected] * len(WITH_ORD)
+    for fn in WITH_ORD:
+        fn(m, 1)  # warms every answer the int reaches
+    assert [oracles.outcome(fn, m, bad) for fn in WITH_ORD] == first
 
 
 @pytest.mark.parametrize("bad", NOT_INT, ids=repr)

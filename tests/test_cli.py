@@ -194,7 +194,7 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("genus", ["Ph", "AhatPh"])
+    @pytest.mark.parametrize("genus", ["Ph", "AhatPh", "L", "Ahat"])
     @pytest.mark.parametrize("m", [10**20, 10**20 + 1])
     def test_overflow_message_names_m(self, capsys, genus, m):
         message = f"m={m}: its factorial (2m-1)! is too large to compute"
@@ -204,6 +204,23 @@ class TestErrorHandling:
             with pytest.raises(OverflowError) as info:
                 genera.genus_coeffs(genus, m)
             assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "command,via_ord",
+        [
+            (["coeffs", "--genus", "S"], False),
+            (["lattice"], True),
+            (["plumbing"], False),
+            (["minimal"], True),
+        ],
+    )
+    @pytest.mark.parametrize("m", [10**20, 10**20 + 1])
+    def test_overflowing_profile_is_refused_before_the_stream(self, capsys, command, via_ord, m):
+        # an even m's ord is checked against j_{m/2} first, and then profile(m // 2) overflows
+        named = m // 2 if via_ord and m % 2 == 0 else m
+        assert main([*command, "--m", str(m)]) == 1
+        message = f"error: m={named}: its factorial (2m-1)! is too large to compute\n"
+        assert capsys.readouterr().err == message
 
     def test_workers_below_one_is_exit_1(self, capsys):
         for claim in verify.CLAIMS:

@@ -39,6 +39,18 @@ class TestProfile:
         names = [f.name for f in fields(DimensionProfile)]
         assert names == ["m", "a", "sigma", "num4", "j", "bezout", "fact", "tangent"]
 
+    @pytest.mark.parametrize("m", [10**20, 10**20 + 1])
+    def test_overflow_is_refused_before_the_tangent_stream(self, monkeypatch, m):
+        def unreachable(n):
+            raise AssertionError(f"drew the tangent stream toward n={n}")
+
+        monkeypatch.setattr(plumbing, "bernoulli_record", unreachable)
+        monkeypatch.setattr(plumbing, "tangent_number", unreachable)
+        for _ in range(2):  # a raise is not kept
+            with pytest.raises(OverflowError) as info:
+                profile(m)
+            assert str(info.value) == f"m={m}: its factorial (2m-1)! is too large to compute"
+
     def test_factorial_and_tangent_fields(self):
         for m in range(1, 61):
             prof = profile(m)
