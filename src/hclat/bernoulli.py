@@ -31,12 +31,13 @@ degree ``4n-1``.
 
 The von Staudt-Clausen theorem gives the denominator of ``|B_{2n}|/n`` as
 a prime product, evaluated here without any Bernoulli number, and
-``j = 4 * vsc_denominator(n)``.  Each record takes ``j`` from it and is
-certified rather than reduced by a gcd: writing ``T_n = 2^v t`` and
-``j = 2^w j'`` with ``t, j'`` odd, it checks ``v + w = 2n + 1``, divides
-``num4 = t j' / (2^{2n}-1)`` with remainder 0, and checks
-``gcd(num4, j) = 1``; the division folds base-``2^{2n}`` digits and needs
-no long division.  Then ``num4 / j = T_n / (2^{2n+1}(2^{2n}-1))`` in
+``j = 4 * vsc_denominator(n)``, whose candidate primes are tested against
+one kept table of O(sqrt(n)) bytes, not by trial division.  Each record
+takes ``j`` from it and is certified rather than reduced by a gcd: writing
+``T_n = 2^v t`` and ``j = 2^w j'`` with ``t, j'`` odd, it checks
+``v + w = 2n + 1``, divides ``num4 = t j' / (2^{2n}-1)`` with remainder 0,
+and checks ``gcd(num4, j) = 1``; the division folds base-``2^{2n}`` digits
+and needs no long division.  Then ``num4 / j = T_n / (2^{2n+1}(2^{2n}-1))`` in
 lowest terms, so a tangent number whose fraction has any denominator but
 the von Staudt-Clausen one (``T_n + 1``, ``2 T_n`` and ``3 T_n`` among
 them) fails one of the three checks.
@@ -48,7 +49,8 @@ import threading
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from itertools import compress
+from math import gcd, isqrt, prod
 
 from .exact import _require_index, nu2, padic_valuation
 
@@ -220,17 +222,47 @@ def record_range(
     )
 
 
+# (sieve, product): sieve[q] is 1 iff q is prime, for q < len(sieve), and product is the
+# product of those primes; one tuple, swapped whole, so no reader pairs a sieve with
+# another sieve's product
+_PRIMES: tuple[bytearray, int] = (bytearray(2), 1)
+
+
+def _prime_table(limit: int) -> tuple[bytearray, int]:
+    """The kept ``(sieve, product)``, first replaced by a table at least twice as long
+    when its sieve stops short of ``limit``."""
+    global _PRIMES
+    table = _PRIMES
+    if len(table[0]) <= limit:
+        size = max(limit + 1, 2 * len(table[0]))
+        sieve = bytearray(2) + bytearray([1]) * (size - 2)
+        for p in range(2, isqrt(size - 1) + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = bytes(len(range(p * p, size, p)))
+        factors = list(compress(range(size), sieve))  # the primes, then products of them
+        while len(factors) > 1:  # pairwise, so each product is of equal-sized factors
+            factors = [prod(factors[i : i + 2]) for i in range(0, len(factors), 2)]
+        table = _PRIMES = (sieve, prod(factors))
+    return table
+
+
 def vsc_denominator(n: int) -> int:
     """Denominator of ``|B_{2n}|/n`` from the von Staudt-Clausen theorem.
 
     Equals ``prod(p^(1 + v_p(n)))`` over primes ``p`` with ``p - 1`` dividing
-    ``2n``, found by trial division among ``d + 1`` for the divisors ``d`` of
-    ``2n``; no Bernoulli number is involved.
+    ``2n``, found among ``d + 1`` for the divisors ``d`` of ``2n``; no Bernoulli
+    number is involved.  A candidate ``p <= 2n + 1`` is tested against the kept
+    table, whose sieve covers ``0 .. isqrt(2n + 1)`` at least: below the sieve's
+    end it is looked up, and above it ``p`` is prime iff ``gcd(p, product) == 1``.
+    That is exact because a composite ``p`` has a prime factor at most
+    ``isqrt(p) <= isqrt(2n + 1)``, which the sieve covers and so divides the
+    product, while a prime ``p`` past the sieve divides no product of smaller primes.
     """
     _require_index(n, "n", 1)
+    sieve, product = _prime_table(isqrt(2 * n + 1))
     out = 1
     divisors = [d for d in range(1, isqrt(2 * n) + 1) if (2 * n) % d == 0]
     for p in {d + 1 for d in divisors} | {2 * n // d + 1 for d in divisors}:
-        if all(p % q for q in range(2, isqrt(p) + 1)):
-            out *= p ** (1 + padic_valuation(n, p))
+        if sieve[p] if p < len(sieve) else gcd(p, product) == 1:
+            out *= p ** (1 + padic_valuation(n, p)) if n % p == 0 else p
     return out

@@ -5,8 +5,11 @@ Three claims are scanned over ranges of the dimension parameter m:
 * ``gcd-power-of-two``: for even m, gcd(sigma_m, sigma_{m/2}^2) is a power
   of 2 (its 2-adic valuation must always be 2m + 1; a nontrivial odd part
   is the interesting kind of counterexample, first occurring at m = 2678
-  with odd part 34511).  The valuation is read off both integers and the
-  odd parts are compared before anything is squared.
+  with odd part 34511).  The valuation is read off both numerators; the
+  odd part is 1 iff three gcds are: of the two numerators' odd parts, and of
+  each against the other sigma's Mersenne factor, taken from its residue
+  (the two Mersenne factors are coprime).  Only a gcd that is not 1 sends
+  the check to the full gcd for the witness.
 * ``numerator-coprimality``: for even m, num(|B_{2m}|/4m) and
   num(|B_m|/2m)^2 are coprime.
 * ``identity-suite``: every cross-module identity of the library, per m.
@@ -46,7 +49,7 @@ from math import gcd
 from pathlib import Path
 
 from . import bundles, genera, lattices, plumbing
-from .bernoulli import record_range
+from .bernoulli import _divmod_mersenne, record_range
 from .exact import _require_index, gcd_with_square, nu2
 
 __all__ = [
@@ -273,7 +276,19 @@ def _even_m_payloads(m_max: int) -> Iterator[tuple[int, int, int]]:
 
 def _check_gcd_power_of_two(payload: tuple[int, int, int]) -> tuple[int, list[dict]]:
     m, num4_m, num4_half = payload
-    nu, odd = gcd_with_square(plumbing.sigma_m(m, num4_m), plumbing.sigma_m(m // 2, num4_half))
+    # sigma_m = 2^{2m+1} M_{2m-1} num4_m and sigma_{m/2} = a_{m/2} 2^{m+1} M_{m-1} num4_half,
+    # with M_b = 2^b - 1; gcd(M_{2m-1}, M_{m-1}) = M_{gcd(2m-1, m-1)} = M_1 = 1
+    v_m, v_half = nu2(num4_m), nu2(num4_half)
+    odd_m, odd_half = num4_m >> v_m, num4_half >> v_half
+    nu, odd = min(2 * m + 1 + v_m, 2 * (m + 1 + nu2(plumbing.a_m(m // 2)) + v_half)), 1
+    if (
+        gcd(odd_m, odd_half) != 1
+        or gcd(_divmod_mersenne(odd_m, m - 1)[1], (1 << (m - 1)) - 1) != 1
+        or gcd(_divmod_mersenne(odd_half, 2 * m - 1)[1], (1 << (2 * m - 1)) - 1) != 1
+    ):
+        nu, odd = gcd_with_square(
+            plumbing.sigma_m(m, num4_m), plumbing.sigma_m(m // 2, num4_half)
+        )
     found = []
     if odd != 1:
         found.append({"m": m, "kind": "odd_part", "gcd_nu2": nu, "gcd_odd_part": odd})

@@ -31,9 +31,10 @@ def fresh_answers(monkeypatch):
 @pytest.fixture
 def cold(monkeypatch, fresh_answers):
     """Every process-wide memo empty, as in a new interpreter: the tangent engine,
-    the profiles, the validated ord parameters and the checked answers."""
+    the prime table, the profiles, the validated ord parameters and the checked answers."""
     from hclat import bernoulli, lattices, plumbing
 
     monkeypatch.setattr(bernoulli, "_ENGINE", bernoulli.SeidelEngine())
+    monkeypatch.setattr(bernoulli, "_PRIMES", (bytearray(2), 1))
     monkeypatch.setattr(plumbing, "_profiles", {})
     monkeypatch.setattr(lattices, "_ords", {})

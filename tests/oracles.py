@@ -5,7 +5,8 @@ the defining binomial recurrence and tangent numbers from inverting their
 definition against those Bernoulli values, or from Seidel's boustrophedon
 triangle and Brent and Harvey's unscaled column recurrence, the references
 the tangent engine is compared against.  The von Staudt-Clausen denominator
-is rebuilt from a sieve of every prime up to ``2n + 1``, and each record
+is rebuilt from a sieve of every prime up to ``2n + 1`` and, as a second
+reference, by trial division of each candidate ``d + 1``, and each record
 from a gcd of ``T_n`` against ``2^{2n} - 1`` instead of the von
 Staudt-Clausen certificate the package uses.  Lattice
 spans are compared through a general Hermite normal form, the reference
@@ -26,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, islice
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, isqrt
 
 from hclat.bundles import KappaExpression
 from hclat.genera import GENERA, GenusCoefficients
@@ -140,6 +141,19 @@ def vsc_denominator_sieve(n: int) -> int:
     out = 1
     for p in _primes_upto(2 * n + 1):
         if (2 * n) % (p - 1) == 0:
+            out *= p ** (1 + _valuation(n, p))
+    return out
+
+
+def vsc_denominator_trial(n: int) -> int:
+    """The same denominator with each candidate ``d + 1``, for the divisors ``d`` of
+    ``2n``, tested by trial division: the package's earlier ``vsc_denominator``."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    out = 1
+    divisors = [d for d in range(1, isqrt(2 * n) + 1) if (2 * n) % d == 0]
+    for p in {d + 1 for d in divisors} | {2 * n // d + 1 for d in divisors}:
+        if all(p % q for q in range(2, isqrt(p) + 1)):
             out *= p ** (1 + _valuation(n, p))
     return out
 

@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from fractions import Fraction
 from itertools import islice
-from math import factorial
+from math import factorial, isqrt, prod
 
 import pytest
 
@@ -35,6 +35,7 @@ from oracles import (
     seidel_tangents,
     tangent_oracle,
     vsc_denominator_sieve,
+    vsc_denominator_trial,
 )
 
 
@@ -93,6 +94,65 @@ class TestVscDenominator:
     def test_agrees_with_the_sieve(self):
         for n in [*range(1, 3001), 21000, 42000]:
             assert vsc_denominator(n) == vsc_denominator_sieve(n), n
+
+    def test_agrees_with_trial_division(self):
+        rng = random.Random(24)
+        sample = [rng.randint(1, 10**7) for _ in range(200)]
+        for n in [*range(1, 3001), *sample, 10**9]:
+            assert vsc_denominator(n) == vsc_denominator_trial(n), n
+
+
+def _fresh_table(monkeypatch):
+    monkeypatch.setattr(bernoulli, "_PRIMES", (bytearray(2), 1))
+
+
+class TestPrimeTable:
+    def test_descending_fill_gives_the_ascending_values(self, monkeypatch):
+        _fresh_table(monkeypatch)
+        ascending = [vsc_denominator(n) for n in range(1, 3001)]
+        _fresh_table(monkeypatch)
+        descending = [vsc_denominator(n) for n in range(3000, 0, -1)]
+        assert descending[::-1] == ascending
+
+    def test_sieve_stays_near_the_square_root(self, monkeypatch):
+        _fresh_table(monkeypatch)
+        n = 10**9
+        assert vsc_denominator(n) == vsc_denominator_trial(n)
+        sieve, product = bernoulli._PRIMES
+        assert len(sieve) <= 2 * isqrt(2 * n + 1) + 2
+        assert len(sieve) + product.bit_length() // 8 < 100_000
+
+    def test_table_matches_a_sieve_and_its_product(self, monkeypatch):
+        _fresh_table(monkeypatch)
+        vsc_denominator(5000)
+        sieve, product = bernoulli._PRIMES
+        primes = [p for p in range(len(sieve)) if sieve[p]]
+        assert primes == [p for p in range(2, len(sieve)) if all(p % q for q in range(2, p))]
+        assert product == prod(primes)
+
+    def test_each_rebuild_at_least_doubles_the_sieve(self, monkeypatch):
+        _fresh_table(monkeypatch)
+        lengths = [2]
+        for n in range(1, 20001):
+            vsc_denominator(n)
+            if len(bernoulli._PRIMES[0]) != lengths[-1]:
+                lengths.append(len(bernoulli._PRIMES[0]))
+        assert lengths[-1] > isqrt(2 * 20000 + 1)
+        assert all(b >= 2 * a for a, b in zip(lengths, lengths[1:])), lengths
+
+    def test_concurrent_first_calls_agree_with_the_oracle(self, monkeypatch):
+        # threads that each grow the table from a fresh one: every reader pairs a
+        # sieve with its own product, whichever table wins the swap
+        _fresh_table(monkeypatch)
+        ns = [n for k in range(1, 9) for n in (10**k // 3, 7 * 10**k // 9)] * 3
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                got = list(pool.map(vsc_denominator, ns, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [vsc_denominator_trial(n) for n in ns]
 
 
 class TestRecords:

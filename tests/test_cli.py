@@ -206,20 +206,16 @@ class TestErrorHandling:
             assert str(info.value) == message
 
     @pytest.mark.parametrize(
-        "command,via_ord",
-        [
-            (["coeffs", "--genus", "S"], False),
-            (["lattice"], True),
-            (["plumbing"], False),
-            (["minimal"], True),
-        ],
+        "command",
+        [["coeffs", "--genus", "S"], ["lattice"], ["plumbing"], ["minimal"], ["bundle"],
+         ["kappa-basis"]],
+        ids=" ".join,
     )
     @pytest.mark.parametrize("m", [10**20, 10**20 + 1])
-    def test_overflowing_profile_is_refused_before_the_stream(self, capsys, command, via_ord, m):
-        # an even m's ord is checked against j_{m/2} first, and then profile(m // 2) overflows
-        named = m // 2 if via_ord and m % 2 == 0 else m
+    def test_overflowing_profile_is_refused_before_the_stream(self, capsys, command, m):
+        # an even m's ord reads profile(m) before j_{m/2}, so the m passed is the one named
         assert main([*command, "--m", str(m)]) == 1
-        message = f"error: m={named}: its factorial (2m-1)! is too large to compute\n"
+        message = f"error: m={m}: its factorial (2m-1)! is too large to compute\n"
         assert capsys.readouterr().err == message
 
     def test_workers_below_one_is_exit_1(self, capsys):

@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from hclat import lattices
-from hclat.bundles import kappa_basis
+from hclat.bundles import divisibility_report, kappa_basis
 from hclat.exact import nu2, padic_valuation
 from hclat.genera import genus_coeffs
 from hclat.lattices import (
@@ -67,6 +67,29 @@ class TestOrdParameter:
         for build in (generator_invariants, kappa_basis):
             with pytest.raises(ValueError, match="positive integer"):
                 build(m, value)
+
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m: OrdParameter(1, m),
+            lambda m: generator_invariants(m),
+            minimal_signature,
+            kappa_basis,
+            divisibility_report,
+            kernel_structure,
+        ],
+        ids=["OrdParameter", "generator_invariants", "minimal_signature", "kappa_basis",
+             "divisibility_report", "kernel_structure"],
+    )
+    def test_too_large_even_m_is_named_itself(self, monkeypatch, call):
+        # m's own profile is read before j_{m/2}, so the error names m, not m/2
+        m = 10**20
+        monkeypatch.setattr(lattices, "_ords", {})
+        for _ in range(2):  # a raise is not kept
+            with pytest.raises(OverflowError) as info:
+                call(m)
+            assert str(info.value) == f"m={m}: its factorial (2m-1)! is too large to compute"
 
 
 class TestKernelStructure:

@@ -36,6 +36,27 @@ class TestGcdPowerOfTwo:
         with pytest.raises(ValueError):
             verify_gcd_power_of_two(1)
 
+    @pytest.mark.parametrize(
+        "payload,odd",
+        [
+            ((4, 35, 3), 7),  # 7 = 2^3 - 1, sigma_{m/2}'s Mersenne factor, divides num4_m
+            ((4, 5, 381), 127),  # 127 = 2^7 - 1, sigma_m's Mersenne factor, divides num4_{m/2}
+            ((4, 55, 33), 11),  # a prime both numerators share
+        ],
+    )
+    def test_each_gcd_that_is_not_1_falls_back_to_the_full_gcd(self, monkeypatch, payload, odd):
+        calls = []
+        full = verify.gcd_with_square
+        monkeypatch.setattr(verify, "gcd_with_square", lambda a, b: calls.append(1) or full(a, b))
+        witness = {"m": 4, "kind": "odd_part", "gcd_nu2": 9, "gcd_odd_part": odd}
+        assert verify._check_gcd_power_of_two(payload) == (4, [witness])
+        assert calls == [1]
+
+    def test_records_to_300_never_need_the_full_gcd(self, monkeypatch):
+        monkeypatch.setattr(verify, "gcd_with_square", None)  # calling it would raise
+        for payload in verify._even_m_payloads(300):
+            assert verify._check_gcd_power_of_two(payload) == (payload[0], [])
+
     def test_synthetic_payloads_match_full_gcd(self):
         # shared odd factors (some only in the square) and broken 2-adic laws,
         # each checked against the full gcd(sigma_m, sigma_{m/2}^2)
