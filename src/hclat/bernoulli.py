@@ -46,7 +46,7 @@ them) fails one of the three checks.
 from __future__ import annotations
 
 import threading
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -57,7 +57,6 @@ from .exact import _require_index, nu2, padic_valuation
 __all__ = [
     "BernoulliRecord",
     "SeidelEngine",
-    "tangent_numbers",
     "tangent_number",
     "bernoulli_abs",
     "bernoulli_record",
@@ -170,12 +169,6 @@ class SeidelEngine:
                     self._tangent.append(self._column[-1] << (len(self._column) - 1))
         return self._tangent[n]
 
-    def tangent_range(self, limit: int) -> list[int]:
-        _require_index(limit, "limit", 0)
-        if limit > 0:
-            self.tangent(limit)
-        return self._tangent[1 : limit + 1]
-
     def record(self, n: int) -> BernoulliRecord:
         rec = self._records.get(n) if type(n) is int else None  # kept only for a gated n
         if rec is None:
@@ -192,11 +185,6 @@ def tangent_number(n: int) -> int:
     return _ENGINE.tangent(n)
 
 
-def tangent_numbers(limit: int) -> list[int]:
-    """The sequence ``T_1 .. T_limit`` (empty for ``limit == 0``)."""
-    return _ENGINE.tangent_range(limit)
-
-
 def bernoulli_abs(n: int) -> Fraction:
     """``|B_{2n}|`` as an exact fraction, e.g. ``bernoulli_abs(1) == 1/6``."""
     return _ENGINE.record(n).abs_value
@@ -207,19 +195,12 @@ def bernoulli_record(n: int) -> BernoulliRecord:
     return _ENGINE.record(n)
 
 
-def record_range(
-    limit: int, keep: Callable[[int], bool] | None = None
-) -> Iterator[BernoulliRecord]:
-    """Iterate over the records ``n = 1 .. limit`` in order from a stream of their own,
-    only those with ``keep(n)`` when ``keep`` is given; ``limit`` is checked at the call.
-    The engine memo is neither read nor filled, and an index not kept costs its
-    tangent number but no reduction."""
+def record_range(limit: int) -> Iterator[BernoulliRecord]:
+    """Iterate over the certified records ``n = 1 .. limit`` in order from a stream of
+    their own; ``limit`` is checked at the call.  The engine memo is neither read nor
+    filled."""
     _require_index(limit, "limit", 0)
-    return (
-        _record(n, t)
-        for n, t in enumerate(_tangents(limit), 1)
-        if keep is None or keep(n)
-    )
+    return (_record(n, t) for n, t in enumerate(_tangents(limit), 1))
 
 
 # (sieve, product): sieve[q] is 1 iff q is prime, for q < len(sieve), and product is the

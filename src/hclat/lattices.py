@@ -84,18 +84,14 @@ class OrdParameter:
             )
 
 
-_ords: dict[tuple[int, int], OrdParameter] = {}
-
-
 def _as_ord(ord: "OrdParameter | int", m: int) -> OrdParameter:
-    """``ord`` checked against the gated ``m``; an int is validated once per ``(ord, m)``."""
+    """``ord`` checked against the gated ``m``; anything else becomes a new, validated
+    ``OrdParameter`` on every call (a kept answer is read before any gate)."""
     if isinstance(ord, OrdParameter):
         if ord.m != m:
             raise ValueError(f"ord parameter is for m={ord.m}, not m={m}")
         return ord
-    if type(ord) is not int:  # a bool or Fraction equal to an int must not stand in for it
-        return OrdParameter(ord, m)
-    return _ords.get((ord, m)) or _ords.setdefault((ord, m), OrdParameter(ord, m))
+    return OrdParameter(ord, m)
 
 
 def _ord_gate(m: int, ord: "OrdParameter | int", arg: None) -> OrdParameter:

@@ -191,11 +191,13 @@ def canonical_bezout(m: int) -> BezoutPair:
 
 
 def require_bezout_for(m: int, bezout: BezoutPair | None = None) -> BezoutPair:
-    """``bezout`` (the canonical pair when None); ValueError unless it is a pair
-    for the reduced ``|B_{2m}|/4m``."""
+    """``bezout`` (the canonical pair when None); ValueError unless it is a
+    ``BezoutPair`` for the reduced ``|B_{2m}|/4m``."""
     prof = profile(m)
     if bezout is None:
         return prof.bezout
+    if not isinstance(bezout, BezoutPair):
+        raise ValueError(f"bezout must be a BezoutPair, got {type(bezout).__name__}")
     if bezout.for_numerator != prof.num4 or bezout.for_denominator != prof.j:
         raise ValueError(
             f"Bezout pair is for ({bezout.for_numerator}, {bezout.for_denominator}), "

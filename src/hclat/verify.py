@@ -16,22 +16,22 @@ Three claims are scanned over ranges of the dimension parameter m:
 
 Failures are report entries, never exceptions; only a tangent number that
 fails its record's certificate raises.  The Bernoulli stream is produced
-once by the parent from ``bernoulli.record_range``, which holds one diagonal,
-not the library's memo.  It reduces only the records a check reads, every
-even n and the odd n <= m_max/2, and keeps num4_n only while 2n <= m_max and
-m = 2n is not yet checked: at most m_max/4 + 1 values at any time, and none
-at the end.  The two prefix scans check each record in the parent as it
-streams: their cost is the serial stream, which a pool of checkers cannot
-shorten, so they only validate ``workers``.  ``identity-suite`` has no
-stream; with ``workers`` above 1 it owns a process pool of that many
-processes, at most the CPU count, and hands the pool's ``map`` to the shared
-scan driver, which knows cursors, checkpoints and reports but no processes.
-Only there is ``concurrent.futures``' process pool imported, so no other
-scan or query loads ``multiprocessing`` and the modules it pulls in.
-No report content depends on ``workers``.  Checkpoints persist the scan
-cursor and the counterexamples found so far, not Bernoulli data, every 50
-checked indices and on exit; a resumed run recomputes the (cheap relative to
-disk) stream and skips only the check work already done.
+once by the parent from ``bernoulli.record_range``, which holds one
+diagonal, not the library's memo, and certifies every record it yields.  The
+scan keeps num4_n only while 2n <= m_max and m = 2n is not yet checked: at
+most m_max/4 + 1 values at any time, and none at the end.  The two prefix
+scans check each record in the parent as it streams: their cost is the
+serial stream, which a pool of checkers cannot shorten, so they only
+validate ``workers``.  ``identity-suite`` has no stream; with ``workers``
+above 1 it owns a process pool of that many processes, at most the CPU
+count, and hands the pool's ``map`` to the shared scan driver, which knows
+cursors, checkpoints and reports but no processes.  Only there is
+``concurrent.futures``' process pool imported, so no other scan or query
+loads ``multiprocessing`` and the modules it pulls in.  No report content
+depends on ``workers``.  Checkpoints persist the scan cursor and the
+counterexamples found so far, not Bernoulli data, every 50 checked indices
+and on exit; a resumed run recomputes the (cheap relative to disk) stream
+and skips only the check work already done.
 """
 
 from __future__ import annotations
@@ -264,10 +264,10 @@ def _run_scan(
 
 
 def _even_m_payloads(m_max: int) -> Iterator[tuple[int, int, int]]:
-    """Stream (m, num4_m, num4_{m/2}) for even m, reducing only the records read:
-    every even n, and odd n <= m_max/2."""
+    """Stream (m, num4_m, num4_{m/2}) for even m from every certified record; an odd
+    record above m_max/2 is certified and read by no check."""
     window: dict[int, int] = {}  # num4_n for 2n <= m_max, until m = 2n is checked
-    for rec in record_range(m_max, keep=lambda n: n % 2 == 0 or 2 * n <= m_max):
+    for rec in record_range(m_max):
         if 2 * rec.n <= m_max:
             window[rec.n] = rec.num4
         if rec.n % 2 == 0:

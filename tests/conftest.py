@@ -31,10 +31,9 @@ def fresh_answers(monkeypatch):
 @pytest.fixture
 def cold(monkeypatch, fresh_answers):
     """Every process-wide memo empty, as in a new interpreter: the tangent engine,
-    the prime table, the profiles, the validated ord parameters and the checked answers."""
-    from hclat import bernoulli, lattices, plumbing
+    the prime table, the profiles and the checked answers."""
+    from hclat import bernoulli, plumbing
 
     monkeypatch.setattr(bernoulli, "_ENGINE", bernoulli.SeidelEngine())
     monkeypatch.setattr(bernoulli, "_PRIMES", (bytearray(2), 1))
     monkeypatch.setattr(plumbing, "_profiles", {})
-    monkeypatch.setattr(lattices, "_ords", {})

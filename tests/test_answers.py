@@ -27,7 +27,14 @@ from hclat.lattices import (
     lattice_span_equal,
     minimal_signature,
 )
-from hclat.plumbing import bp_order, canonical_bezout, profile, require_bezout_for, s_of_Q
+from hclat.plumbing import (
+    bp_order,
+    canonical_bezout,
+    profile,
+    require_bezout_for,
+    s_of_Q,
+    s_of_Q_formulas,
+)
 
 M_MAX = 60
 
@@ -201,6 +208,19 @@ def test_invalid_pair_raises_cold_and_warm(monkeypatch, fn, m, other):
     assert oracles.outcome(fn, m, wrong) == cold
 
 
+NOT_A_PAIR = WITH_PAIR + [("s_of_Q_formulas", lambda m, b: s_of_Q_formulas(m, b))]
+
+
+@pytest.mark.parametrize("fn", [f for _, f in NOT_A_PAIR], ids=[n for n, _ in NOT_A_PAIR])
+@pytest.mark.parametrize("m", [3, 6])
+@pytest.mark.parametrize("bad", [(1, 2), [1, 2]], ids=repr)
+def test_a_pair_of_another_type_raises_cold_and_warm(cold, fn, m, bad):
+    expected = f"ValueError: bezout must be a BezoutPair, got {type(bad).__name__}"
+    assert oracles.outcome(fn, m, bad) == expected
+    fn(m, None)  # warms every answer the canonical pair reaches
+    assert oracles.outcome(fn, m, bad) == expected
+
+
 @pytest.mark.parametrize("m", [3, 6, 12])
 def test_a_genus_and_a_variant_never_answer_for_each_other(m):
     for genus in GENERA:
@@ -362,8 +382,8 @@ def test_non_int_ord_raises_the_same_cold_and_warm(cold, m, bad):
 
 @pytest.mark.parametrize("bad", NOT_INT, ids=repr)
 def test_non_int_m_in_an_ord_parameter(cold, bad):
-    # _as_ord reads the ord memo with an m its callers have gated: a non-int m is refused
-    # first, next to an int ord or a parameter built for int(m), however warm that memo is
+    # _as_ord trusts the m its callers have gated: a non-int m is refused first, next to
+    # an int ord or a parameter built for int(m), however warm the answers at int(m) are
     expected = f"ValueError: m must be an int, got {bad!r}"
     for warm in (False, True):
         for fn in WITH_ORD:

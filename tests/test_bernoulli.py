@@ -22,7 +22,6 @@ from hclat.bernoulli import (
     bernoulli_record,
     record_range,
     tangent_number,
-    tangent_numbers,
     vsc_denominator,
 )
 from hclat.exact import nu2
@@ -39,24 +38,29 @@ from oracles import (
 )
 
 
+def _read(engine: SeidelEngine, limit: int) -> list[int]:
+    """``T_1 .. T_limit`` read from ``engine`` one index at a time."""
+    return [engine.tangent(n) for n in range(1, limit + 1)]
+
+
 class TestTangentNumbers:
     def test_first_two(self):
-        assert tangent_numbers(2) == [1, 2]
+        assert [tangent_number(1), tangent_number(2)] == [1, 2]
 
     def test_t3_and_t5_against_recurrence_oracle(self):
         assert tangent_number(3) == tangent_oracle(3) == 16
         assert tangent_number(5) == tangent_oracle(5) == 7936
 
     def test_sequence_against_oracle(self):
-        assert tangent_numbers(30) == [tangent_oracle(n) for n in range(1, 31)]
+        assert _read(SeidelEngine(), 30) == [tangent_oracle(n) for n in range(1, 31)]
 
     def test_even_from_index_two(self):
-        for n, t in enumerate(tangent_numbers(500), start=1):
+        for n, t in enumerate(_read(SeidelEngine(), 500), start=1):
             if n >= 2:
                 assert t % 2 == 0
 
     def test_empty_and_invalid(self):
-        assert tangent_numbers(0) == []
+        assert list(_tangents(0)) == []
         with pytest.raises(ValueError):
             tangent_number(0)
 
@@ -195,13 +199,13 @@ class TestRecords:
 
 class TestEngineAgainstSeidelTriangle:
     def test_fresh_engine_matches_triangle_to_600(self):
-        assert SeidelEngine().tangent_range(600) == seidel_tangents(600)
+        assert _read(SeidelEngine(), 600) == seidel_tangents(600)
 
     def test_extending_in_steps_matches_one_call(self):
         stepped = SeidelEngine()
         for n in (1, 2, 17, 300, 301, 600):
             stepped.tangent(n)
-        assert stepped.tangent_range(600) == SeidelEngine().tangent_range(600)
+        assert _read(stepped, 600) == _read(SeidelEngine(), 600)
 
     def test_records_match_full_fraction_reduction(self):
         engine = SeidelEngine()
@@ -224,11 +228,11 @@ class TestEngineAgainstSeidelTriangle:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
         limit = len(engine._tangent) + 20
-        assert engine.tangent_range(limit) == SeidelEngine().tangent_range(limit)
+        assert _read(engine, limit) == _read(SeidelEngine(), limit)
 
     @pytest.mark.long
     def test_fresh_engine_matches_triangle_to_3000(self):
-        assert SeidelEngine().tangent_range(3000) == seidel_tangents(3000)
+        assert _read(SeidelEngine(), 3000) == seidel_tangents(3000)
 
 
 class TestScaledColumns:
@@ -250,7 +254,7 @@ class TestScaledColumns:
         # past the triangle's 3000, so the overlap with an independent kernel goes on;
         # the bounded sweep is held to the same kernel
         expected = brent_harvey_tangents(4000)
-        assert SeidelEngine().tangent_range(4000) == expected
+        assert _read(SeidelEngine(), 4000) == expected
         assert list(_tangents(4000)) == expected
 
 
@@ -258,7 +262,7 @@ class TestDiagonalSweep:
     @pytest.mark.parametrize("limit", [*range(65), 1000])
     def test_sweep_matches_the_engine(self, limit):
         # small limits cover every clip edge of the triangle and the first dropped entry
-        assert list(_tangents(limit)) == tangent_numbers(limit)
+        assert list(_tangents(limit)) == _read(SeidelEngine(), limit)
 
     def test_sweep_holds_one_short_diagonal(self):
         limit = 600
@@ -317,9 +321,9 @@ class TestExplicitColumnState:
         assert _InterruptOnFirstAdd.fired
         assert engine._column == whole and len(engine._tangent) == 51
         limit = 90
-        expected = SeidelEngine().tangent_range(limit)
+        expected = _read(SeidelEngine(), limit)
         calls = _count_steps(monkeypatch)
-        assert engine.tangent_range(limit) == expected
+        assert _read(engine, limit) == expected
         # one step per missing column, from column 50 on: nothing is replayed from column 1
         assert calls == list(range(len(whole), limit))
 
@@ -329,13 +333,13 @@ class TestExplicitColumnState:
         engine.tangent(40)
         _advance(engine._column)
         assert len(engine._column) == 41 and len(engine._tangent) == 41
-        expected = SeidelEngine().tangent_range(60)
+        expected = _read(SeidelEngine(), 60)
         calls = _count_steps(monkeypatch)
-        assert engine.tangent_range(60) == expected
+        assert _read(engine, 60) == expected
         assert calls == list(range(41, 60))
 
     def test_threads_switching_mid_column_share_one_column(self):
-        expected = SeidelEngine().tangent_range(200)
+        expected = _read(SeidelEngine(), 200)
         engine = SeidelEngine()
         start = threading.Barrier(8)
 
@@ -354,7 +358,7 @@ class TestExplicitColumnState:
             sys.setswitchinterval(interval)
         assert results == [expected] * 8
         # a lost or doubled step would leave the column off the memo by one
-        assert engine.tangent_range(200) == expected and len(engine._column) == 200
+        assert _read(engine, 200) == expected and len(engine._column) == 200
 
     def test_resumed_saved_column_matches_the_stream(self):
         _assert_saved_columns_resume([1, 2, 3, 10, 97, 256, 411, 599, 600])

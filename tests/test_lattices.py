@@ -63,8 +63,8 @@ class TestOrdParameter:
         # each equals 1 or converts to it, and 1 is a valid ord at every m here
         with pytest.raises(ValueError, match="positive integer"):
             OrdParameter(value, m)
-        lattices._as_ord(1, m)  # the int's cached entry must not answer for it
         for build in (generator_invariants, kappa_basis):
+            build(m, 1)  # the int's kept answer must not answer for it
             with pytest.raises(ValueError, match="positive integer"):
                 build(m, value)
 
@@ -82,10 +82,9 @@ class TestOrdParameter:
         ids=["OrdParameter", "generator_invariants", "minimal_signature", "kappa_basis",
              "divisibility_report", "kernel_structure"],
     )
-    def test_too_large_even_m_is_named_itself(self, monkeypatch, call):
+    def test_too_large_even_m_is_named_itself(self, call):
         # m's own profile is read before j_{m/2}, so the error names m, not m/2
         m = 10**20
-        monkeypatch.setattr(lattices, "_ords", {})
         for _ in range(2):  # a raise is not kept
             with pytest.raises(OverflowError) as info:
                 call(m)
@@ -513,12 +512,6 @@ class TestOneContainmentPlusIndex:
 
 
 class TestOrdCache:
-    def test_valid_int_built_once(self):
-        assert lattices._as_ord(1, 6) is lattices._as_ord(1, 6)
-        assert lattices._as_ord(7, 6) is lattices._as_ord(7, 6)
-        assert lattices._as_ord(7, 6) == OrdParameter(7, 6)
-        assert lattices._as_ord(1, 8) is not lattices._as_ord(1, 6)
-
     @pytest.mark.parametrize("ord, m", [(11, 6), (2, 3), (0, 6), (32, 5), (-1, 8)])
     def test_invalid_int_raises_every_time(self, ord, m):
         for _ in range(2):

@@ -224,8 +224,8 @@ class TestReportMechanics:
         ckpt = tmp_path / "scan.json"
         records = verify.record_range
 
-        def interrupted_at_600(m_max, keep=None):
-            for rec in records(m_max, keep):
+        def interrupted_at_600(m_max):
+            for rec in records(m_max):
                 if rec.n == 600:
                     raise KeyboardInterrupt
                 yield rec
@@ -348,17 +348,17 @@ def test_scans_leave_the_engine_memo_alone(monkeypatch, capsys):
 
 class TestPrefixStream:
     @pytest.mark.parametrize("m_max", [600, 601])
-    def test_reduces_only_what_a_check_reads(self, monkeypatch, m_max):
+    def test_certifies_every_record_and_keeps_a_short_window(self, monkeypatch, m_max):
         expected = [
             (r.n, r.num4, bernoulli.bernoulli_record(r.n // 2).num4)
             for r in bernoulli.record_range(m_max)
             if r.n % 2 == 0
         ]
-        reduced, sizes = [], []
+        certified, sizes = [], []
         record = bernoulli._record
 
         def counting_record(n, t):
-            reduced.append(n)
+            certified.append(n)
             sizes.append(len(payloads.gi_frame.f_locals["window"]))
             return record(n, t)
 
@@ -369,25 +369,30 @@ class TestPrefixStream:
             got.append(payload)
             sizes.append(len(payloads.gi_frame.f_locals["window"]))
         assert got == expected
-        assert reduced == [n for n in range(1, m_max + 1) if n % 2 == 0 or 2 * n <= m_max]
+        assert certified == list(range(1, m_max + 1))
         assert max(sizes) <= m_max // 4 + 1
         # the last payload took the last value the window held
         assert sizes[-1] == 0
 
-    @pytest.mark.parametrize("corrupt", [lambda t: t + 1, lambda t: 3 * t], ids=["plus1", "times3"])
-    def test_wrong_tangent_number_stops_the_scan(self, monkeypatch, capsys, corrupt):
+    @pytest.mark.parametrize(
+        "bad, corrupt",
+        # 61 is odd and above 100/2, so no check reads its record, yet it is certified
+        [(40, lambda t: t + 1), (40, lambda t: 3 * t), (61, lambda t: t + 1), (61, lambda t: 3 * t)],
+        ids=["plus1", "times3", "plus1_at_61", "times3_at_61"],
+    )
+    def test_wrong_tangent_number_stops_the_scan(self, monkeypatch, capsys, bad, corrupt):
         stream = bernoulli._tangents
 
-        def corrupted_at_40(limit):
+        def corrupted(limit):
             for n, t in enumerate(stream(limit), start=1):
-                yield corrupt(t) if n == 40 else t
+                yield corrupt(t) if n == bad else t
 
-        monkeypatch.setattr(bernoulli, "_tangents", corrupted_at_40)
-        with pytest.raises(ValueError, match="T_40 fails"):
+        monkeypatch.setattr(bernoulli, "_tangents", corrupted)
+        with pytest.raises(ValueError, match=f"T_{bad} fails"):
             verify_gcd_power_of_two(100)
         assert main(["verify", "numerator-coprimality", "--max", "100"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [
-            "error: T_40 fails its von Staudt-Clausen certificate"
+            f"error: T_{bad} fails its von Staudt-Clausen certificate"
         ]
