@@ -14,12 +14,11 @@ the divisions are exact and never performed.  An entry costs one
 multiplication of a big integer by a small one and one addition (``h``
 needs two multiplications), and is smaller than ``h_j[k]`` by ``(j-k)!``
 and ``k-1`` bits.  Entry ``(j, k)`` needs only ``(j-1, k)`` and ``(j, k-1)``,
-so ``T_1..T_n`` cost ``O(n^2)`` such steps in either of two orders.  Point
-queries, which know no bound, go through a process-wide memo that steps whole
-columns and keeps every ``T_n`` and record.  :func:`record_range`, for
-scans, knows its bound, keeps nothing and sweeps ``j <= limit`` by
-anti-diagonals ``s = j + k``, holding at most ``limit // 2 + 1`` entries,
-about a third of column ``limit``'s bits.
+so ``T_1..T_n`` cost ``O(n^2)`` such steps, taken by one kernel that sweeps a
+strip ``L < j <= limit`` by anti-diagonals ``s = j + k`` from boundary column
+``L``: from ``L = 0``, keeping nothing, for scans (:func:`record_range`), which
+hold at most ``limit // 2 + 1`` entries, about a third of column ``limit``'s bits,
+and one strip at a time for a memo of column ``L``, ``T_1..T_L`` and every record.
 
 From ``T_n`` everything else is a single reduced fraction:
 
@@ -45,6 +44,7 @@ them) fails one of the three checks.
 
 from __future__ import annotations
 
+import sys
 import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -84,38 +84,41 @@ class BernoulliRecord:
         return Fraction(4 * self.n * self.num4, self.j)
 
 
-def _advance(column: list[int]) -> None:
-    """Step ``column[k-1] = u_{j-1}[k]`` in place to ``u_j[k]``, with ``j = len(column) + 1``."""
-    j = len(column) + 1
-    # c = C(d+2, 2) from d = j-1 down, and C(d+2, 2) - C(d+1, 2) = d+1
-    c, step = j * (j + 1) // 2, j
-    u = 0  # u_j[0] = 0 starts the column
-    for i, x in enumerate(column):
-        u = x + c * u
-        column[i] = u
-        c -= step
-        step -= 1
-    column.append(u)  # u_j[j] = u_j[j-1]
-
-
-def _tangents(limit: int) -> Iterator[int]:
-    """Yield ``T_1 .. T_limit``, sweeping the triangle ``j <= limit`` by anti-diagonals."""
-    diagonal: list[int] = []  # u_{s-k}[k] on diagonal s, k rising; its inputs lie on s-1
-    for s in range(2, 2 * limit + 1):
-        j, odd = divmod(s, 2)
-        if not odd:
-            diagonal.append(diagonal[-1] if diagonal else 1)  # u_j[j] = u_j[j-1], u_1[1] = 1
-        # from the top down, so u_{s-k}[k-1] is read before it is stepped; c = C(d+2, 2)
-        # from d = s-2k = 1 or 2 up, and C(d+4, 2) - C(d+2, 2) = 2d+5
-        c, step = (3, 7) if odd else (6, 9)
-        for i in range(len(diagonal) - 2 + odd, 0, -1):
-            diagonal[i] += c * diagonal[i - 1]
+def _tangents(limit: int, column: list[int] | None = None) -> Iterator[int]:
+    """Yield ``T_{L+1} .. T_limit``, sweeping the strip ``L < j <= limit`` by anti-diagonals
+    from column ``u_L[1..L]``, ``L = len(column)`` or 0, which ends as column ``limit``."""
+    width = len(column or ())
+    # u[k] is row k: u_{s-k}[k] on diagonal s, column L's entry until it enters, column
+    # limit's once it leaves (0 in a scan); u[0] = u_j[0] = 0, u[1] = u_j[1] = 1, and row j
+    # is added as u_{j-1}[j] = 0 above the triangle, so stepping it gives u_j[j] = u_j[j-1]
+    u = [0, *(column or [1])]
+    for s in range(width + 2, 2 * limit + 1):
+        # the top entry stepped is (L+1, s-1-L) while column L enters, then (j, j) or (j+1, j)
+        top = s - 1 - width if s <= 2 * width + 1 else s // 2
+        if top == len(u):
+            u.append(0)
+        low = s - limit - 1 if s > limit + 1 else 1  # rows low+1 .. top are stepped
+        # from the top down, so u[k-1] is read before it is stepped; c = C(d+2, 2) from
+        # the top's d = j - k up, and C(d+4, 2) - C(d+2, 2) = 2d+5
+        d = s - 2 * top
+        c, step = (d + 1) * (d + 2) // 2, 2 * d + 5
+        for k in range(top, low, -1):
+            u[k] += c * u[k - 1]
             c += step
             step += 4
-        if s > limit + 1:
-            del diagonal[0]  # u_limit[k], read by u_limit[k+1] just now
-        if not odd:
-            yield diagonal[-1] << (j - 1)
+        if column is None and s > limit + 1:
+            u[low] = 0  # read by u_limit[low+1] just now; a scan keeps no column
+        if not d:
+            yield u[top] << (top - 1)  # T_j = u_j[j] << (j-1) at j = top
+    if column is not None:
+        column[:] = u[1:]
+
+
+def _require_n(value: object, name: str, lo: int) -> None:
+    """``_require_index``; OverflowError if ``2 value - 1 > sys.maxsize``, as ``math.factorial``."""
+    _require_index(value, name, lo)
+    if 2 * value - 1 > sys.maxsize:
+        raise OverflowError(f"{name}={value}: 2{name}-1 > sys.maxsize, too large to compute")
 
 
 def _divmod_mersenne(x: int, bits: int) -> tuple[int, int]:
@@ -145,34 +148,30 @@ def _record(n: int, t: int) -> BernoulliRecord:
 class SeidelEngine:
     """Memoized Brent-Harvey tangent engine; the name is historical (Seidel's triangle).
 
-    Every ``T_n`` computed is kept, so point queries at any index reuse all
-    previous work.  Under a single lock each step runs on a shallow copy of the
-    column, swapped in only when whole, so an interrupt leaves the last whole one.
-    Concurrent first requests compute an index once; cached reads are lookups.
+    The memo is one tuple ``(column L, [0, T_1..T_L])``.  Under a single lock a query
+    past ``L`` sweeps one strip on a copy of the column, then stores the new tuple in one
+    assignment, so an interrupt leaves the last whole strip.  Concurrent first requests
+    compute an index once; cached reads are lookups.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._column = [1]  # column j = len(_column); T_j is kept iff j < len(_tangent)
-        self._tangent: list[int] = [0]  # 1-indexed; _tangent[n] = T_n
+        self._memo: tuple[list[int], list[int]] = ([], [0])
         self._records: dict[int, BernoulliRecord] = {}
 
     def tangent(self, n: int) -> int:
-        _require_index(n, "n", 1)
-        if n >= len(self._tangent):
+        _require_n(n, "n", 1)
+        if n >= len(self._memo[1]):
             with self._lock:
-                while len(self._tangent) <= n:  # no-op if another thread got here first
-                    if len(self._column) < len(self._tangent):
-                        column = self._column.copy()
-                        _advance(column)
-                        self._column = column
-                    self._tangent.append(self._column[-1] << (len(self._column) - 1))
-        return self._tangent[n]
+                column, tangents = self._memo
+                if n >= len(tangents):  # no-op if another thread got here first
+                    column = column.copy()
+                    self._memo = (column, [*tangents, *_tangents(n, column)])
+        return self._memo[1][n]
 
     def record(self, n: int) -> BernoulliRecord:
         rec = self._records.get(n) if type(n) is int else None  # kept only for a gated n
         if rec is None:
-            _require_index(n, "n", 1)
             rec = self._records.setdefault(n, _record(n, self.tangent(n)))
         return rec
 
@@ -199,7 +198,7 @@ def record_range(limit: int) -> Iterator[BernoulliRecord]:
     """Iterate over the certified records ``n = 1 .. limit`` in order from a stream of
     their own; ``limit`` is checked at the call.  The engine memo is neither read nor
     filled."""
-    _require_index(limit, "limit", 0)
+    _require_n(limit, "limit", 0)
     return (_record(n, t) for n, t in enumerate(_tangents(limit), 1))
 
 
@@ -239,7 +238,7 @@ def vsc_denominator(n: int) -> int:
     ``isqrt(p) <= isqrt(2n + 1)``, which the sieve covers and so divides the
     product, while a prime ``p`` past the sieve divides no product of smaller primes.
     """
-    _require_index(n, "n", 1)
+    _require_n(n, "n", 1)
     sieve, product = _prime_table(isqrt(2 * n + 1))
     out = 1
     divisors = [d for d in range(1, isqrt(2 * n) + 1) if (2 * n) % d == 0]

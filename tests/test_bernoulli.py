@@ -14,7 +14,6 @@ from hclat import bernoulli
 from hclat.bernoulli import (
     BernoulliRecord,
     SeidelEngine,
-    _advance,
     _divmod_mersenne,
     _record,
     _tangents,
@@ -104,6 +103,31 @@ class TestVscDenominator:
         sample = [rng.randint(1, 10**7) for _ in range(200)]
         for n in [*range(1, 3001), *sample, 10**9]:
             assert vsc_denominator(n) == vsc_denominator_trial(n), n
+
+
+class TestIndexCeiling:
+    @pytest.mark.parametrize("n", [sys.maxsize // 2 + 2, 10**20])  # the least refused, and more
+    @pytest.mark.parametrize(
+        "call",
+        [tangent_number, bernoulli_record, bernoulli_abs, record_range, vsc_denominator],
+        ids=lambda f: f.__name__,
+    )
+    def test_refused_before_any_sweep_or_sieve(self, monkeypatch, call, n):
+        def unreachable(*args):
+            raise AssertionError(f"started work toward n={n}")
+
+        monkeypatch.setattr(bernoulli, "_tangents", unreachable)
+        monkeypatch.setattr(bernoulli, "_prime_table", unreachable)
+        name = "limit" if call is record_range else "n"
+        with pytest.raises(OverflowError) as info:
+            call(n)
+        assert str(info.value) == f"{name}={n}: 2{name}-1 > sys.maxsize, too large to compute"
+
+    def test_the_ceiling_is_where_factorial_refuses(self):
+        n = sys.maxsize // 2 + 2
+        assert 2 * (n - 1) - 1 == sys.maxsize
+        with pytest.raises(OverflowError):
+            factorial(2 * n - 1)
 
 
 def _fresh_table(monkeypatch):
@@ -219,16 +243,16 @@ class TestEngineAgainstSeidelTriangle:
         engine = SeidelEngine()
         previous = signal.signal(signal.SIGALRM, signal.default_int_handler)
         try:
-            # T_3000 takes many seconds, so the alarm lands inside the extension,
-            # almost always in the middle of a column
+            # T_3000 takes many seconds, so the alarm lands inside its strip
             signal.setitimer(signal.ITIMER_REAL, 0.2)
             with pytest.raises(KeyboardInterrupt):
                 engine.tangent(3000)
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
-        limit = len(engine._tangent) + 20
-        assert _read(engine, limit) == _read(SeidelEngine(), limit)
+        # the one strip to 3000 never finished, so the memo is still the empty one
+        assert engine._memo == ([], [0])
+        assert _read(engine, 20) == _read(SeidelEngine(), 20)
 
     @pytest.mark.long
     def test_fresh_engine_matches_triangle_to_3000(self):
@@ -238,16 +262,6 @@ class TestEngineAgainstSeidelTriangle:
 class TestScaledColumns:
     def test_stream_matches_unscaled_recurrence_to_1000(self):
         assert list(_tangents(1000)) == brent_harvey_tangents(1000)
-
-    def test_entries_are_unscaled_entries_over_factorials(self):
-        facts = [factorial(d) for d in range(200)]
-        column = [1]  # the engine's column u_j[1..j], stepped by _advance
-        for j, (t, unscaled) in enumerate(islice(brent_harvey_columns(), 200), start=1):
-            assert column[-1] << (j - 1) == t
-            assert len(column) == len(unscaled) == j
-            for k, (h, u) in enumerate(zip(unscaled, column), start=1):
-                assert divmod(h, facts[j - k] << (k - 1)) == (u, 0), (j, k)
-            _advance(column)
 
     @pytest.mark.long
     def test_fresh_engine_matches_unscaled_recurrence_to_4000(self):
@@ -264,19 +278,22 @@ class TestDiagonalSweep:
         # small limits cover every clip edge of the triangle and the first dropped entry
         assert list(_tangents(limit)) == _read(SeidelEngine(), limit)
 
-    def test_sweep_holds_one_short_diagonal(self):
+    def test_sweep_holds_one_short_diagonal_and_keeps_no_column(self):
         limit = 600
-        column = [1]
-        while len(column) < limit:
-            _advance(column)
+        column: list[int] = []
+        list(_tangents(limit, column))
         column_bits = sum(u.bit_length() for u in column)
         sweep = _tangents(limit)
         lengths, bits = [], []
-        for _ in sweep:
-            # the suspended generator's frame holds its whole state, the live diagonal
-            diagonal = sweep.gi_frame.f_locals["diagonal"]
-            lengths.append(len(diagonal))
-            bits.append(sum(u.bit_length() for u in diagonal))
+        for j, _ in enumerate(sweep, start=1):
+            # the suspended generator's frame holds its whole state: one entry per row k,
+            # zero outside the live diagonal, so no entry of a finished column is kept
+            state = sweep.gi_frame.f_locals
+            assert state["column"] is None and len(state["u"]) == j + 1
+            rows = [k for k, u in enumerate(state["u"]) if u]
+            assert rows == list(range(rows[0], j + 1)), j
+            lengths.append(len(rows))
+            bits.append(sum(u.bit_length() for u in state["u"]))
         # at T_j, diagonal s = 2j clipped to j <= limit: k from max(1, 2j - limit) to j
         assert lengths == [j - max(1, 2 * j - limit) + 1 for j in range(1, limit + 1)]
         assert max(lengths) <= limit // 2 + 1
@@ -296,56 +313,95 @@ class _InterruptOnFirstAdd(int):
         return int(self) + other
 
 
-def _count_steps(monkeypatch) -> list[int]:
-    """Make the engine step through a wrapper of ``_advance``; returns its call log."""
+def _log_strips(monkeypatch) -> list[tuple[int, int]]:
+    """Make the engine sweep through a wrapper of ``_tangents``; returns its
+    ``(L, limit)`` log, one entry per strip."""
     calls = []
 
-    def counted(column):
-        calls.append(len(column))
-        _advance(column)
+    def logged(limit, column=None):
+        calls.append((len(column), limit))
+        return _tangents(limit, column)
 
-    monkeypatch.setattr(bernoulli, "_advance", counted)
+    monkeypatch.setattr(bernoulli, "_tangents", logged)
     return calls
 
 
-class TestExplicitColumnState:
-    def test_interrupt_mid_column_resumes_from_the_last_whole_column(self, monkeypatch):
+def _assert_chained_strips(limit, seed):
+    """Strips of random widths, each swept from the column the last one left, yield
+    ``T_1 .. T_limit`` and end on the unscaled recurrence's columns: ``u_j[k] (j-k)!
+    2^{k-1} = h_j[k]``."""
+    rng = random.Random(seed)
+    facts = [factorial(d) for d in range(limit)]
+    oracle = brent_harvey_columns()
+    column: list[int] = []
+    while len(column) < limit:
+        start = len(column)
+        end = min(limit, start + rng.choice([1, 1, 2, 3, 7, 50, 123]))
+        stretch = list(islice(oracle, end - start))
+        assert list(_tangents(end, column)) == [t for t, _ in stretch], (start, end)
+        unscaled = stretch[-1][1]  # the oracle's one list, now column ``end``
+        assert len(column) == len(unscaled) == end
+        for k, (u, h) in enumerate(zip(column, unscaled), start=1):
+            assert u * (facts[end - k] << (k - 1)) == h, (end, k)
+
+
+class TestStripMemo:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_chained_strips_of_random_widths_match_the_oracle(self, seed):
+        _assert_chained_strips(600, seed)
+
+    @pytest.mark.long
+    def test_chained_strips_of_random_widths_match_the_oracle_to_3000(self):
+        _assert_chained_strips(3000, 0)
+
+    def test_interrupt_mid_strip_resumes_from_the_last_whole_strip(self, monkeypatch):
         engine = SeidelEngine()
         engine.tangent(50)
-        whole = list(engine._column)
+        memo = engine._memo
+        whole = (memo[0].copy(), memo[1].copy())
         _InterruptOnFirstAdd.fired = False
-        engine._column[25] = _InterruptOnFirstAdd(whole[25])
+        memo[0][25] = _InterruptOnFirstAdd(whole[0][25])
         with pytest.raises(KeyboardInterrupt):
             engine.tangent(80)
-        # the step ran on a copy: the engine still holds column 50, untouched
+        # the strip ran on a copy: the engine still holds column 50 and T_1..T_50
         assert _InterruptOnFirstAdd.fired
-        assert engine._column == whole and len(engine._tangent) == 51
-        limit = 90
-        expected = _read(SeidelEngine(), limit)
-        calls = _count_steps(monkeypatch)
-        assert _read(engine, limit) == expected
-        # one step per missing column, from column 50 on: nothing is replayed from column 1
-        assert calls == list(range(len(whole), limit))
+        assert engine._memo is memo and memo == whole
+        calls = _log_strips(monkeypatch)
+        assert engine.tangent(90) == brent_harvey_tangents(90)[-1]
+        # one strip, from column 50 on: nothing is replayed from column 0
+        assert calls == [(50, 90)]
+        assert _read(engine, 90) == brent_harvey_tangents(90)
 
-    def test_column_swapped_in_but_not_read_is_not_stepped_past(self, monkeypatch):
-        # the state an interrupt leaves between the swap and the append
+    @pytest.mark.parametrize("after", [0, 1, 17, 30, None])
+    def test_interrupt_between_yields_keeps_the_last_whole_strip(self, monkeypatch, after):
+        # 30 is past the strip's last T, before its column is replaced; None lets the
+        # sweep end, so the copy already holds column 80 when the interrupt lands
         engine = SeidelEngine()
-        engine.tangent(40)
-        _advance(engine._column)
-        assert len(engine._column) == 41 and len(engine._tangent) == 41
-        expected = _read(SeidelEngine(), 60)
-        calls = _count_steps(monkeypatch)
-        assert _read(engine, 60) == expected
-        assert calls == list(range(41, 60))
+        engine.tangent(50)
+        memo = engine._memo
+        whole = (memo[0].copy(), memo[1].copy())
 
-    def test_threads_switching_mid_column_share_one_column(self):
-        expected = _read(SeidelEngine(), 200)
+        def interrupted(limit, column=None):
+            yield from islice(_tangents(limit, column), after)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(bernoulli, "_tangents", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            engine.tangent(80)
+        assert engine._memo is memo and memo == whole
+        calls = _log_strips(monkeypatch)
+        assert _read(engine, 80) == brent_harvey_tangents(80)
+        assert calls[0] == (50, 51)
+
+    def test_threads_switching_mid_strip_sweep_each_index_once(self, monkeypatch):
+        expected = brent_harvey_tangents(200)
         engine = SeidelEngine()
+        calls = _log_strips(monkeypatch)
         start = threading.Barrier(8)
 
         def walk(_):
             start.wait(timeout=60)
-            # every thread asks for every new index, so each step is contended
+            # every thread asks for every new index, so each strip is contended
             return [engine.tangent(n) for n in range(1, 201)]
 
         interval = sys.getswitchinterval()
@@ -357,31 +413,11 @@ class TestExplicitColumnState:
         finally:
             sys.setswitchinterval(interval)
         assert results == [expected] * 8
-        # a lost or doubled step would leave the column off the memo by one
-        assert _read(engine, 200) == expected and len(engine._column) == 200
-
-    def test_resumed_saved_column_matches_the_stream(self):
-        _assert_saved_columns_resume([1, 2, 3, 10, 97, 256, 411, 599, 600])
-
-    @pytest.mark.long
-    def test_resumed_saved_column_matches_the_stream_to_3000(self):
-        _assert_saved_columns_resume([1, 2, 3, 100, 777, 1500, 2222, 2999, 3000])
-
-
-def _assert_saved_columns_resume(saved_at, ahead=20):
-    """A copy of the column after ``j`` steps, for each ``j`` in ``saved_at``, continued
-    by ``_advance`` alone yields ``T_j, T_{j+1}, ...`` as one :func:`_tangents` does."""
-    expected = list(_tangents(max(saved_at) + ahead))
-    column = [1]
-    for j in range(1, max(saved_at) + 1):
-        if j in saved_at:
-            saved = column.copy()
-            resumed = [saved[-1] << (j - 1)]
-            while len(saved) < j + ahead:
-                _advance(saved)
-                resumed.append(saved[-1] << (len(saved) - 1))
-            assert resumed == expected[j - 1 : j + ahead], j
-        _advance(column)
+        # each strip starts where the last ended: no index was swept twice or skipped
+        assert [a for a, _ in calls] == [0, *(b for _, b in calls[:-1])]
+        assert calls[-1][1] == 200
+        column, tangents = engine._memo
+        assert len(column) == 200 and tangents == [0, *expected]
 
 
 def _assert_records_match_gcd_reduction(limit):

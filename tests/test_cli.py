@@ -218,6 +218,15 @@ class TestErrorHandling:
         message = f"error: m={m}: its factorial (2m-1)! is too large to compute\n"
         assert capsys.readouterr().err == message
 
+    @pytest.mark.parametrize(
+        "args,name", [([], "n"), (["--range"], "limit")], ids=["point", "range"]
+    )
+    def test_overflowing_bernoulli_index_is_refused(self, capsys, args, name):
+        n = 10**20
+        assert main(["bernoulli", "--n", str(n), *args]) == 1
+        message = f"error: {name}={n}: 2{name}-1 > sys.maxsize, too large to compute\n"
+        assert capsys.readouterr().err == message
+
     def test_workers_below_one_is_exit_1(self, capsys):
         for claim in verify.CLAIMS:
             assert main(["verify", claim, "--max", "10", "--workers", "0"]) == 1

@@ -342,7 +342,7 @@ def test_scans_leave_the_engine_memo_alone(monkeypatch, capsys):
     assert verify_numerator_coprimality(200, workers=2).status == "verified"
     assert main(["bernoulli", "--n", "50", "--range"]) == 0
     assert len(json.loads(capsys.readouterr().out)) == 50
-    assert engine._tangent == [0]
+    assert engine._memo == ([], [0])
     assert engine._records == {}
 
 
