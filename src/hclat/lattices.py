@@ -326,6 +326,17 @@ def _in_span(
     )
 
 
+def _sheared(g: tuple[int, ...], h1: tuple[int, ...], h2: tuple[int, ...]) -> bool:
+    """Whether ``h2 = e h1 + q g`` for a sign e and an integer q, for a nonzero g: q is
+    read off by one exact divmod at a nonzero coordinate of g, then checked on all."""
+    i = next(n for n, a in enumerate(g) if a)
+    for e in (1, -1):
+        q, r = divmod(h2[i] - e * h1[i], g[i])
+        if not r and all(b - e * a == q * c for a, b, c in zip(h1, h2, g)):
+            return True
+    return False
+
+
 def lattice_span_equal(b1: LatticeBasis, b2: LatticeBasis) -> bool:
     """Whether two bases generate the same subgroup of integer 4-vectors.
 
@@ -336,12 +347,20 @@ def lattice_span_equal(b1: LatticeBasis, b2: LatticeBasis) -> bool:
     (ValueError otherwise).  Equal means equal rank, b1 in b2's span, and
     |minor_p(b1)| = |minor_p(b2)| at b2's pivot p: b1 = A b2 with A integral
     gives minor_p(b1) = det(A) minor_p(b2), and the spans agree iff |det(A)| = 1.
+
+    Bases (g, h1) and (g, h2) sharing their first generator, as two Bezout
+    representatives' do, are first compared in linear time.  If h2 = e h1 + q g with
+    e = +-1, then (g, h2) = A (g, h1) for A = [[1, 0], [q, e]] with det(A) = e, so the
+    spans agree, and (g, h2) is degenerate exactly when (g, h1) is, which b2's pivot
+    checks.  Every other case, every False among them, takes the general test.
     """
     if b1.m != b2.m:
         raise ValueError("bases must share the same m")
     v1 = [vec.as_tuple() for _, vec in b1.generators]
     v2 = [vec.as_tuple() for _, vec in b2.generators]
     p2, det = _pivot(v2)
+    if len(v1) == len(v2) == 2 and v1[0] == v2[0] and _sheared(v1[0], v1[1], v2[1]):
+        return True
     if len(v1) != len(v2) or abs(_minor(v1, p2)) != abs(det):
         _pivot(v1)  # a degenerate b1 raises rather than comparing unequal
         return False

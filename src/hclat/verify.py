@@ -22,10 +22,13 @@ scan keeps num4_n only while 2n <= m_max and m = 2n is not yet checked: at
 most m_max/4 + 1 values at any time, and none at the end.  The two prefix
 scans check each record in the parent as it streams: their cost is the
 serial stream, which a pool of checkers cannot shorten, so they only
-validate ``workers``.  ``identity-suite`` has no stream; with ``workers``
-above 1 it owns a process pool of that many processes, at most the CPU
-count, and hands the pool's ``map`` to the shared scan driver, which knows
-cursors, checkpoints and reports but no processes.  Only there is
+validate ``workers``.  ``identity-suite`` has no stream: drawing its first
+payload, after the checkpoint is loaded and saved, sweeps T_1..T_{m_max} into
+the library's memo in one strip, and a pool's workers, which start at its
+first submit, inherit that memo when forked.  With ``workers`` above 1 it
+owns a process pool of that many processes, at most the CPU count, and hands
+the pool's ``map`` to the shared scan driver, which knows cursors,
+checkpoints and reports but no processes.  Only there is
 ``concurrent.futures``' process pool imported, so no other scan or query
 loads ``multiprocessing`` and the modules it pulls in.  No report content
 depends on ``workers``.  Checkpoints persist the scan cursor and the
@@ -49,7 +52,7 @@ from math import gcd
 from pathlib import Path
 
 from . import bundles, genera, lattices, plumbing
-from .bernoulli import _divmod_mersenne, record_range
+from .bernoulli import _divmod_mersenne, _require_n, record_range, tangent_number
 from .exact import _require_index, gcd_with_square, nu2
 
 __all__ = [
@@ -488,6 +491,13 @@ def _check_identities(payload: tuple[int]) -> tuple[int, list[dict]]:
     return m, out
 
 
+def _identity_payloads(m_max: int) -> Iterator[tuple[int]]:
+    """Yield (m,) for 2 <= m <= m_max, once T_1..T_{m_max} are in the engine's memo."""
+    tangent_number(m_max)  # one strip, not one per index as each m's first profile sweeps
+    for m in range(2, m_max + 1):
+        yield (m,)
+
+
 def verify_identity_suite(
     m_max: int,
     workers: int = 1,
@@ -498,10 +508,10 @@ def verify_identity_suite(
     ``m_max = 1`` gives an empty "partial" report since the identities
     need m >= 2.
     """
-    _require_index(m_max, "m_max", 1)
+    _require_n(m_max, "m_max", 1)
     workers = _worker_count(workers)
-    payloads = ((m,) for m in range(2, m_max + 1))
-    args = ("identity-suite", m_max, payloads, _check_identities, {"ord_policy": "conjectural-1"})
+    params = {"ord_policy": "conjectural-1"}
+    args = ("identity-suite", m_max, _identity_payloads(m_max), _check_identities, params)
     if workers == 1:
         return _run_scan(*args, checkpoint_path)
     # imported here, where the one pool opens: no other hclat process needs multiprocessing

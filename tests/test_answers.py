@@ -87,24 +87,37 @@ def _answers(m: int, ord: int | None = None) -> list[str]:
     ]
 
 
-def _warm_answers_equal_first_computations(monkeypatch, sample_above):
-    cases = [(m, None) for m in range(1, M_MAX + 1)]
-    cases += [(m, ord) for m in range(1, M_MAX + 1) for ord in valid_ords(m, sample_above)]
+def _warm_answers_equal_first_computations(monkeypatch, sample_above, block=2000):
     warm: dict = {}
+    # set once, so the original memo comes back after the test; the swaps below bypass
+    # monkeypatch, whose undo list would keep every memo swapped out
     monkeypatch.setattr(plumbing, "_answers", warm)
-    for case in cases:
-        _answers(*case)
-    kept = len(warm)
-    assert kept
-    # each warm answer against the same answer again in a memo of its own, so no key can
-    # stand in for another; only the outcomes of one case are held at a time
-    for case in cases:
-        monkeypatch.setattr(plumbing, "_answers", warm)
-        answer = _answers(*case)
-        monkeypatch.setattr(plumbing, "_answers", {})
-        assert _answers(*case) == answer, case
-    assert len(warm) == kept  # every warm read was answered from the swapped memo
-    return len(cases)
+    total = 0
+    # filled and read one m at a time, in blocks of at most ``block`` cases: m = 60 alone
+    # has 54675 of the every-ord cases; the memo holds one block and the one before it
+    for m in range(1, M_MAX + 1):
+        ords = [None, *valid_ords(m, sample_above)]
+        for start in range(0, len(ords), block):
+            cases = [(m, ord) for ord in ords[start : start + block]]
+            held = len(warm)
+            plumbing._answers = warm
+            for case in cases:
+                _answers(*case)
+            kept = len(warm)
+            assert kept > held
+            # each warm answer against the same answer again in a memo of its own; the
+            # previous block's answers are still in it, so a key that dropped m or ord
+            # would return another case's; only one case's outcomes are held at a time
+            for case in cases:
+                plumbing._answers = warm
+                answer = _answers(*case)
+                plumbing._answers = {}
+                assert _answers(*case) == answer, case
+            assert len(warm) == kept  # every warm read was answered from the swapped memo
+            for key in list(warm)[:held]:  # insertion order: the previous block's first
+                del warm[key]
+            total += len(cases)
+    return total
 
 
 def test_warm_answers_equal_first_computations(monkeypatch):

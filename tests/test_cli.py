@@ -227,6 +227,17 @@ class TestErrorHandling:
         message = f"error: {name}={n}: 2{name}-1 > sys.maxsize, too large to compute\n"
         assert capsys.readouterr().err == message
 
+    @pytest.mark.parametrize("extra", [[], ["--workers", "2"], ["--checkpoint"]])
+    def test_overflowing_identity_suite_range_is_refused(self, capsys, tmp_path, extra):
+        # refused before the scan starts, which sweeps T_1..T_{m_max} first
+        m_max = 10**20
+        if extra == ["--checkpoint"]:
+            extra = ["--checkpoint", str(tmp_path / "ident.ckpt")]
+        assert main(["verify", "identity-suite", "--max", str(m_max), *extra]) == 1
+        message = f"error: m_max={m_max}: 2m_max-1 > sys.maxsize, too large to compute\n"
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "ident.ckpt").exists()
+
     def test_workers_below_one_is_exit_1(self, capsys):
         for claim in verify.CLAIMS:
             assert main(["verify", claim, "--max", "10", "--workers", "0"]) == 1

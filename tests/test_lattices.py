@@ -399,6 +399,11 @@ class TestSpanEqualAgainstHermiteOracle:
             ([(1, 0, 0, 0), (0, 1, 0, 0)], [(1, 1, 0, 0), (1, -1, 0, 0)], False),
             ([(3, 1, 4, 1)], [(6, 2, 8, 2)], False),
             ([(1, 0, 0, 0)], [(1, 0, 0, 0), (0, 1, 0, 0)], False),
+            ([(2, 3, 5, 7), (0, 1, 4, 0)], [(2, 3, 5, 7), (6, 10, 19, 21)], True),
+            ([(2, 3, 5, 7), (0, 1, 4, 0)], [(2, 3, 5, 7), (-4, -7, -14, -14)], True),
+            ([(2, 3, 5, 7), (0, 1, 4, 0)], [(2, 3, 5, 7), (2, 5, 13, 7)], False),
+            ([(0, 0, 3, 1), (1, 0, 0, 0)], [(0, 0, 3, 1), (1, 0, 1, 0)], False),
+            ([(0, 0, 3, 1), (1, 2, 0, 0)], [(0, 0, 3, 1), (-1, -2, 3, 1)], True),
         ],
         ids=[
             "reduction_above_pivot",
@@ -409,12 +414,62 @@ class TestSpanEqualAgainstHermiteOracle:
             "index_2_skew",
             "index_2_rank_1",
             "rank_1_against_rank_2",
+            "shared_shear",
+            "shared_negated_shear",
+            "shared_index_2",
+            "shared_not_a_shear",
+            "shared_first_coordinate_zero",
         ],
     )
     def test_small_cases(self, v1, v2, equal):
         assert (hermite_normal_form(v1) == hermite_normal_form(v2)) == equal
         assert lattice_span_equal(_basis(*v1), _basis(*v2)) == equal
         assert lattice_span_equal(_basis(*v2), _basis(*v1)) == equal
+
+    def test_random_bases_sharing_their_first_generator(self, monkeypatch):
+        # (g, h1) against (g, h2) for h2 = +-h1 + q g (equal), 2 h1 + q g (index 2) and a
+        # random h2, with entries up to 3, 1000 and 2^200; the equal pairs are decided
+        # without the general containment test
+        def general(*args):
+            raise AssertionError("equal shared-generator bases reached the general test")
+
+        rng = random.Random(2678_34511)
+        outcomes = Counter()
+        for _ in range(1500):
+            bound = rng.choice((3, 1000, 1 << 200))
+            g, h1 = _random_independent(rng, 2, bound)
+            q = rng.choice((0, rng.randint(-5, 5), rng.randint(-bound, bound)))
+            kind = rng.choice(("plus", "minus", "double", "random"))
+            if kind == "random":
+                h2 = _random_independent(rng, 1, bound)[0]
+            else:
+                e = {"plus": 1, "minus": -1, "double": 2}[kind]
+                h2 = tuple(e * b + q * a for a, b in zip(g, h1))
+            expected = hermite_normal_form([g, h1]) == hermite_normal_form([g, h2])
+            assert expected == (kind in ("plus", "minus")) or kind == "random", (g, h1, h2)
+            degenerate = len(hermite_normal_form([g, h2])) < 2
+            for b1, b2 in (([g, h1], [g, h2]), ([g, h2], [g, h1])):
+                if degenerate:
+                    with pytest.raises(ValueError):
+                        lattice_span_equal(_basis(*b1), _basis(*b2))
+                    continue
+                with monkeypatch.context() as patch:
+                    if expected:
+                        patch.setattr(lattices, "_in_span", general)
+                    assert lattice_span_equal(_basis(*b1), _basis(*b2)) == expected, (b1, b2)
+            outcomes[kind, expected] += 1
+        assert min(outcomes[k] for k in [("plus", True), ("minus", True), ("double", False)]) > 300
+        assert outcomes[("random", False)] > 300
+
+    @pytest.mark.parametrize("k", [0, 1, -3, 1 << 200])
+    @pytest.mark.parametrize("g", [(2, 3, 5, 7), (0, 0, 1 << 201, 5)])
+    def test_shared_generator_with_a_dependent_second_raises(self, g, k):
+        dependent = [g, tuple(k * a for a in g)]
+        for other in ([g, (0, 1, 0, 0)], [g, (1, 0, 0, 0)], dependent):
+            with pytest.raises(ValueError):
+                lattice_span_equal(_basis(*dependent), _basis(*other))
+            with pytest.raises(ValueError):
+                lattice_span_equal(_basis(*other), _basis(*dependent))
 
     @pytest.mark.parametrize(
         "bad",

@@ -7,7 +7,7 @@ from math import gcd
 
 import pytest
 
-from hclat import bernoulli, verify
+from hclat import bernoulli, plumbing, verify
 from hclat.bernoulli import bernoulli_abs
 from hclat.cli import main
 from hclat.plumbing import sigma_m
@@ -117,6 +117,35 @@ class TestIdentitySuite:
         report = verify_identity_suite(1)
         assert report.status == "partial"
         assert report.counterexamples == []
+
+    def test_cold_scan_sweeps_its_tangents_in_one_strip(self, monkeypatch, tmp_path, cold):
+        strips, parent = [], os.getpid()
+        sweep = bernoulli._tangents
+
+        def logged(limit, column=None):
+            # a forked pool worker that sweeps fails its check, or changes the report
+            assert os.getpid() == parent, "a pool worker swept tangents of its own"
+            strips.append((len(column or ()), limit))
+            return sweep(limit, column)
+
+        monkeypatch.setattr(bernoulli, "_tangents", logged)
+        # a bad checkpoint path fails before the sweep
+        with pytest.raises(OSError):
+            verify_identity_suite(60, checkpoint_path=tmp_path / "missing" / "ident.json")
+        assert strips == []
+        serial = verify_identity_suite(60)
+        assert serial.status == "verified"
+        assert strips == [(0, 60)]  # not one strip per index, from T_2 on
+        # cold again: the pool's workers, forked at its first submit, inherit the swept memo
+        # (a worker started by spawn or forkserver runs an unpatched sweep of its own)
+        monkeypatch.setattr(bernoulli, "_ENGINE", bernoulli.SeidelEngine())
+        monkeypatch.setattr(plumbing, "_profiles", {})
+        monkeypatch.setattr(plumbing, "_answers", {})
+        parallel = verify_identity_suite(60, workers=2)
+        assert strips == [(0, 60), (0, 60)]
+        assert parallel.to_json(include_wall_time=False) == serial.to_json(
+            include_wall_time=False
+        )
 
 
 class TestReportMechanics:
