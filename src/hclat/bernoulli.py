@@ -114,13 +114,6 @@ def _tangents(limit: int, column: list[int] | None = None) -> Iterator[int]:
         column[:] = u[1:]
 
 
-def _require_n(value: object, name: str, lo: int) -> None:
-    """``_require_index``; OverflowError if ``2 value - 1 > sys.maxsize``, as ``math.factorial``."""
-    _require_index(value, name, lo)
-    if 2 * value - 1 > sys.maxsize:
-        raise OverflowError(f"{name}={value}: 2{name}-1 > sys.maxsize, too large to compute")
-
-
 def _divmod_mersenne(x: int, bits: int) -> tuple[int, int]:
     """``divmod(x, 2^bits - 1)`` for ``x >= 0``.  Since ``2^bits = 1`` modulo the
     divisor, ``q = sum(x >> (i bits) for i >= 1)`` leaves ``x - q (2^bits - 1)``, the
@@ -160,7 +153,7 @@ class SeidelEngine:
         self._records: dict[int, BernoulliRecord] = {}
 
     def tangent(self, n: int) -> int:
-        _require_n(n, "n", 1)
+        _require_index(n, "n", 1)
         if n >= len(self._memo[1]):
             with self._lock:
                 column, tangents = self._memo
@@ -198,7 +191,7 @@ def record_range(limit: int) -> Iterator[BernoulliRecord]:
     """Iterate over the certified records ``n = 1 .. limit`` in order from a stream of
     their own; ``limit`` is checked at the call.  The engine memo is neither read nor
     filled."""
-    _require_n(limit, "limit", 0)
+    _require_index(limit, "limit", 0)
     return (_record(n, t) for n, t in enumerate(_tangents(limit), 1))
 
 
@@ -238,7 +231,7 @@ def vsc_denominator(n: int) -> int:
     ``isqrt(p) <= isqrt(2n + 1)``, which the sieve covers and so divides the
     product, while a prime ``p`` past the sieve divides no product of smaller primes.
     """
-    _require_n(n, "n", 1)
+    _require_index(n, "n", 1, (sys.maxsize + 1) // 2)  # its work grows as sqrt(n) only
     sieve, product = _prime_table(isqrt(2 * n + 1))
     out = 1
     divisors = [d for d in range(1, isqrt(2 * n) + 1) if (2 * n) % d == 0]

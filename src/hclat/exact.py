@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import gcd
 
 __all__ = [
+    "INDEX_MAX",
     "BezoutPair",
     "normalize_bezout",
     "padic_valuation",
@@ -78,14 +79,22 @@ def normalize_bezout(num: int, denom: int) -> BezoutPair:
     return BezoutPair(c, d, num, denom)
 
 
-def _require_index(value: object, name: str, lo: int) -> None:
-    """ValueError unless ``value`` is an int, not a bool, and ``>= lo``: the one check of
-    every public index argument.  A memo read before it requires ``type(value) is int``, as
-    ``6.0`` and ``True`` hash and compare equal to ``6`` and ``1`` and would find their entries."""
+# above every published range; a scan's diagonal, a third of column n (13.2 MB at n = 3000,
+# growing as n^2.12), is about 7 GB here, and every resume restarts the stream at T_1
+INDEX_MAX = 100_000
+
+
+def _require_index(value: object, name: str, lo: int, hi: int = INDEX_MAX) -> None:
+    """The one check of every public index argument, before any work: ValueError unless
+    ``value`` is an int, not a bool, and ``>= lo``; OverflowError if it is ``> hi``.  A memo
+    read before it requires ``type(value) is int``, as ``6.0`` and ``True`` hash and compare
+    equal to ``6`` and ``1`` and would find their entries."""
     if type(value) is not int:
         raise ValueError(f"{name} must be an int, got {value!r}")
     if value < lo:
         raise ValueError(f"{name} must be >= {lo}")
+    if value > hi:
+        raise OverflowError(f"{name} must be <= {hi}, got {value}")
 
 
 def padic_valuation(x: int | Fraction, p: int) -> int:

@@ -42,13 +42,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
-from .exact import BezoutPair, _require_index
+from .exact import INDEX_MAX, BezoutPair, _require_index
 from .plumbing import (
     DimensionProfile,
     _answer,
     _bezout_terms,
-    _factorial,
     _index_from_1,
     profile,
     require_bezout_for,
@@ -125,7 +125,7 @@ def genus_coeffs(genus: str, m: int) -> GenusCoefficients:
 
     ``genus`` is one of ``"L"``, ``"Ahat"``, ``"Ph"``, ``"AhatPh"``.  Memoized per
     ``(genus, m)``, 3.4 to 5.5 KB at ``m = 600``; the closed forms of ``s_n`` are compared
-    on the first computation.  Too large a ``(2m-1)!`` raises OverflowError naming m.
+    on the first computation.  An ``m`` past ``INDEX_MAX`` raises OverflowError at the gate.
     """
     return _answer(_genus_coeffs, _genus_gate, m, 1, None, genus)
 
@@ -140,7 +140,7 @@ def _genus_gate(m: int, ord: int, genus: str) -> int:
 def _genus_coeffs(m: int, ord: int, bezout: None, genus: str) -> GenusCoefficients:
     # ph needs no Bernoulli data: its (2m-1)! comes from math, not from a profile
     if genus in ("Ph", "AhatPh"):
-        fact = _factorial(m, "m")
+        fact = factorial(2 * m - 1)
     if m % 2:
         if genus == "L":
             top = s(m)
@@ -160,7 +160,7 @@ def _genus_coeffs(m: int, ord: int, bezout: None, genus: str) -> GenusCoefficien
         q = fact // pk.fact**2
         half = Fraction(2 * (-1) ** k * pk.num4 * q + pk.j, 2 * pk.j * fact)
         return GenusCoefficients(m, Fraction(-1, fact), half)
-    pm, pk = profile(m), profile(k)  # m's first: too large an m is refused by its own name
+    pm, pk = profile(m), profile(k)
     q = pm.fact // pk.fact**2
     if genus == "L":
         # (s_k^2 - s_{2k}) / 2, with s_k = nk / (a_k (2k-1)! j_k)
@@ -238,7 +238,7 @@ def p2k_solve(k: int) -> P2kDecomposition:
 
     which are recomputed independently and compared before returning.
     """
-    _require_index(k, "k", 1)
+    _require_index(k, "k", 1, INDEX_MAX // 2)  # m = 2k is under the ceiling too
     sk, s2k = s(k), s(2 * k)
     hk, h2k = shat(k), shat(2 * k)
     p2k_on_L = 1 / s2k

@@ -72,7 +72,6 @@ class OrdParameter:
             if self.value != 1:
                 raise ValueError(f"ord is known to be 1 for m={self.m}")
         elif self.m % 2 == 0:
-            profile(self.m)  # m's own checks first, so an m too large is named, not m/2
             j_half = profile(self.m // 2).j
             if j_half**2 % self.value:
                 raise ValueError(

@@ -34,7 +34,7 @@ from math import factorial
 from typing import Any, TypeVar
 
 from .bernoulli import bernoulli_record, tangent_number
-from .exact import BezoutPair, _require_index, normalize_bezout
+from .exact import INDEX_MAX, BezoutPair, _require_index, normalize_bezout
 
 __all__ = [
     "DimensionProfile",
@@ -107,23 +107,15 @@ class DimensionProfile:
 _profiles: dict[int, DimensionProfile] = {}
 
 
-def _factorial(k: int, name: str) -> int:
-    """``(2k-1)!``; OverflowError naming ``k`` when it is too large to compute."""
-    try:
-        return factorial(2 * k - 1)
-    except OverflowError:
-        msg = f"{name}={k}: its factorial (2{name}-1)! is too large to compute"
-        raise OverflowError(msg) from None
-
-
 def profile(m: int) -> DimensionProfile:
-    """The :class:`DimensionProfile` for dimension ``4m``, built once per m.  Too large a
-    ``(2m-1)!`` raises OverflowError naming m before any tangent number is drawn."""
+    """The :class:`DimensionProfile` for dimension ``4m``, built once per m.  An ``m`` past
+    ``INDEX_MAX`` raises OverflowError at the index gate, before ``(2m-1)!`` or any tangent
+    number is computed."""
     prof = _profiles.get(m) if type(m) is int else None
     if prof is not None:
         return prof
     _require_index(m, "m", 1)
-    fact = _factorial(m, "m")
+    fact = factorial(2 * m - 1)
     rec = bernoulli_record(m)
     bezout = normalize_bezout(rec.num4, rec.j)
     prof = DimensionProfile(
@@ -223,7 +215,7 @@ def bp_order(m: int) -> int:
 def pk2_of_Q(k: int) -> int:
     """The Pontryagin number ``p_k^2`` of the hyperbolic plumbing in dimension 8k."""
     _require_index(k, "k", 1)
-    return 2 * lambda_k(k) ** 2 * a_m(k) ** 2 * _factorial(k, "k") ** 2
+    return 2 * lambda_k(k) ** 2 * a_m(k) ** 2 * factorial(2 * k - 1) ** 2
 
 
 def _bezout_terms(k: int, bezout: BezoutPair) -> tuple[int, int]:
@@ -268,7 +260,7 @@ def s_of_Q_formulas(k: int, bezout: BezoutPair | None = None) -> tuple[Fraction,
     Either one, for a valid pair, is an integer, but that is not assumed
     here; the raw fractions are returned for cross-checking.
     """
-    _require_index(k, "k", 1)
+    _require_index(k, "k", 1, INDEX_MAX // 2)  # m = 2k is under the ceiling too
     n1, d1, n2, d2 = _s_of_Q_terms(k, bezout)
     return Fraction(n1, d1), Fraction(n2, d2)
 

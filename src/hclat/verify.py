@@ -33,8 +33,8 @@ checkpoints and reports but no processes.  Only there is
 loads ``multiprocessing`` and the modules it pulls in.  No report content
 depends on ``workers``.  Checkpoints persist the scan cursor and the
 counterexamples found so far, not Bernoulli data, every 50 checked indices
-and on exit; a resumed run recomputes the (cheap relative to disk) stream
-and skips only the check work already done.
+and on exit; a resumed run recomputes the (cheap relative to disk) stream from
+T_1 if an index is left past its cursor, else nothing, and skips the check work done.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from math import gcd
 from pathlib import Path
 
 from . import bundles, genera, lattices, plumbing
-from .bernoulli import _divmod_mersenne, _require_n, record_range, tangent_number
+from .bernoulli import _divmod_mersenne, record_range, tangent_number
 from .exact import _require_index, gcd_with_square, nu2
 
 __all__ = [
@@ -213,7 +213,7 @@ def _leave_interrupts_to_the_parent() -> None:
 def _run_scan(
     claim: str,
     m_max: int,
-    payloads: Iterable[tuple],
+    payloads: Callable[[int], Iterable[tuple]],
     check: Callable[[tuple], tuple[int, list[dict]]],
     params: dict,
     checkpoint_path: str | Path | None = None,
@@ -221,9 +221,9 @@ def _run_scan(
 ) -> VerificationReport:
     """Ordered scan loop shared by all claims, which all start at m = 2.
 
-    ``payloads`` yields tuples whose first entry is the index m (>= 2), in
-    increasing order; ``check`` maps a payload to ``(m, witnesses)``, and
-    ``mapper(check, todo)`` yields those results in order, as ``map`` and
+    ``payloads(cursor)`` yields tuples whose first entry is an index m > cursor (and >= 2),
+    in increasing order; ``check`` maps a payload to ``(m, witnesses)``, and
+    ``mapper(check, payloads(cursor))`` yields those results in order, as ``map`` and
     ``Executor.map`` do.  It is called once the checkpoint is loaded and saved,
     so a bad path fails before a pool starts a worker at its first submit.
     """
@@ -235,10 +235,9 @@ def _run_scan(
         # fail on an unwritable path now, not after the whole scan
         ckpt.save(cursor, witnesses)
 
-    todo = (p for p in payloads if p[0] > cursor)
     try:
         # an interrupt closes the mapper's iterator; a pool's then cancels the queued tasks
-        for checked, (m, found) in enumerate(mapper(check, todo), 1):
+        for checked, (m, found) in enumerate(mapper(check, payloads(cursor)), 1):
             # one statement, so an interrupt cannot split a cursor from its witnesses
             cursor, witnesses = m, witnesses + found
             if ckpt and checked % _SAVE_EVERY == 0:
@@ -266,14 +265,16 @@ def _run_scan(
     )
 
 
-def _even_m_payloads(m_max: int) -> Iterator[tuple[int, int, int]]:
-    """Stream (m, num4_m, num4_{m/2}) for even m from every certified record; an odd
-    record above m_max/2 is certified and read by no check."""
-    window: dict[int, int] = {}  # num4_n for 2n <= m_max, until m = 2n is checked
+def _even_m_payloads(m_max: int, cursor: int = 0) -> Iterator[tuple[int, int, int]]:
+    """Stream (m, num4_m, num4_{m/2}) for even m past ``cursor`` from every certified record,
+    or nothing if no such m is left; an odd record above m_max/2 is read by no check."""
+    if m_max - m_max % 2 <= cursor:
+        return
+    window: dict[int, int] = {}  # num4_n for cursor < 2n <= m_max, until m = 2n is checked
     for rec in record_range(m_max):
-        if 2 * rec.n <= m_max:
+        if cursor < 2 * rec.n <= m_max:
             window[rec.n] = rec.num4
-        if rec.n % 2 == 0:
+        if rec.n % 2 == 0 and rec.n > cursor:
             yield (rec.n, rec.num4, window.pop(rec.n // 2))
 
 
@@ -315,7 +316,7 @@ def _prefix_scan(
     # a pool of checkers cannot shorten the serial stream, so ``workers`` is only validated
     _worker_count(workers)
     params = {"ord_policy": "not-involved"}
-    return _run_scan(claim, m_max, _even_m_payloads(m_max), check, params, checkpoint_path)
+    return _run_scan(claim, m_max, partial(_even_m_payloads, m_max), check, params, checkpoint_path)
 
 
 def verify_gcd_power_of_two(
@@ -491,10 +492,12 @@ def _check_identities(payload: tuple[int]) -> tuple[int, list[dict]]:
     return m, out
 
 
-def _identity_payloads(m_max: int) -> Iterator[tuple[int]]:
-    """Yield (m,) for 2 <= m <= m_max, once T_1..T_{m_max} are in the engine's memo."""
-    tangent_number(m_max)  # one strip, not one per index as each m's first profile sweeps
-    for m in range(2, m_max + 1):
+def _identity_payloads(m_max: int, cursor: int = 0) -> Iterator[tuple[int]]:
+    """Yield (m,) for 2 <= m <= m_max past ``cursor``, once T_1..T_{m_max} are in the
+    engine's memo; a finished scan sweeps nothing."""
+    if cursor < m_max:
+        tangent_number(m_max)  # one strip, not one per index as each m's first profile sweeps
+    for m in range(max(cursor + 1, 2), m_max + 1):
         yield (m,)
 
 
@@ -508,10 +511,10 @@ def verify_identity_suite(
     ``m_max = 1`` gives an empty "partial" report since the identities
     need m >= 2.
     """
-    _require_n(m_max, "m_max", 1)
+    _require_index(m_max, "m_max", 1)
     workers = _worker_count(workers)
     params = {"ord_policy": "conjectural-1"}
-    args = ("identity-suite", m_max, _identity_payloads(m_max), _check_identities, params)
+    args = ("identity-suite", m_max, partial(_identity_payloads, m_max), _check_identities, params)
     if workers == 1:
         return _run_scan(*args, checkpoint_path)
     # imported here, where the one pool opens: no other hclat process needs multiprocessing

@@ -23,7 +23,8 @@ from hclat.bernoulli import (
     tangent_number,
     vsc_denominator,
 )
-from hclat.exact import nu2
+from hclat.exact import INDEX_MAX, nu2
+from hclat.verify import FULL_RANGES
 
 from oracles import (
     bernoulli_abs_oracle,
@@ -106,11 +107,15 @@ class TestVscDenominator:
 
 
 class TestIndexCeiling:
-    @pytest.mark.parametrize("n", [sys.maxsize // 2 + 2, 10**20])  # the least refused, and more
     @pytest.mark.parametrize(
-        "call",
-        [tangent_number, bernoulli_record, bernoulli_abs, record_range, vsc_denominator],
-        ids=lambda f: f.__name__,
+        "call,n",
+        [
+            (call, n)
+            for call in (tangent_number, bernoulli_record, bernoulli_abs, record_range)
+            for n in (INDEX_MAX + 1, 10**12, 10**20)  # the least refused, and more
+        ]
+        + [(vsc_denominator, n) for n in ((sys.maxsize + 1) // 2 + 1, 10**20)],
+        ids=lambda x: getattr(x, "__name__", str(x)),
     )
     def test_refused_before_any_sweep_or_sieve(self, monkeypatch, call, n):
         def unreachable(*args):
@@ -119,15 +124,13 @@ class TestIndexCeiling:
         monkeypatch.setattr(bernoulli, "_tangents", unreachable)
         monkeypatch.setattr(bernoulli, "_prime_table", unreachable)
         name = "limit" if call is record_range else "n"
+        hi = (sys.maxsize + 1) // 2 if call is vsc_denominator else INDEX_MAX
         with pytest.raises(OverflowError) as info:
             call(n)
-        assert str(info.value) == f"{name}={n}: 2{name}-1 > sys.maxsize, too large to compute"
+        assert str(info.value) == f"{name} must be <= {hi}, got {n}"
 
-    def test_the_ceiling_is_where_factorial_refuses(self):
-        n = sys.maxsize // 2 + 2
-        assert 2 * (n - 1) - 1 == sys.maxsize
-        with pytest.raises(OverflowError):
-            factorial(2 * n - 1)
+    def test_the_ceiling_covers_every_published_range(self):
+        assert INDEX_MAX >= max(FULL_RANGES.values())
 
 
 def _fresh_table(monkeypatch):

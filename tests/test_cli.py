@@ -11,6 +11,7 @@ import pytest
 
 import hclat
 from hclat import genera, verify
+from hclat.exact import INDEX_MAX
 from hclat.cli import main
 
 
@@ -188,16 +189,17 @@ class TestErrorHandling:
     def test_missing_required_is_exit_1(self, capsys):
         assert main(["bernoulli"]) == 1
 
-    def test_overflowing_index_is_one_error_line(self, capsys):
-        # a valid int m whose (2m-1)! math.factorial cannot take
-        assert main(["coeffs", "--genus", "Ph", "--m", str(10**20)]) == 1
+    @pytest.mark.parametrize("m", [10**12, 10**20])
+    def test_overflowing_index_is_one_error_line(self, capsys, m):
+        # a valid int m past the index ceiling
+        assert main(["coeffs", "--genus", "Ph", "--m", str(m)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("genus", ["Ph", "AhatPh", "L", "Ahat"])
-    @pytest.mark.parametrize("m", [10**20, 10**20 + 1])
+    @pytest.mark.parametrize("m", [INDEX_MAX + 1, 10**12, 10**20, 10**20 + 1])
     def test_overflow_message_names_m(self, capsys, genus, m):
-        message = f"m={m}: its factorial (2m-1)! is too large to compute"
+        message = f"m must be <= {INDEX_MAX}, got {m}"
         assert main(["coeffs", "--genus", genus, "--m", str(m)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         for _ in range(2):  # a raise is not kept
@@ -211,36 +213,43 @@ class TestErrorHandling:
          ["kappa-basis"]],
         ids=" ".join,
     )
-    @pytest.mark.parametrize("m", [10**20, 10**20 + 1])
+    @pytest.mark.parametrize("m", [INDEX_MAX + 1, INDEX_MAX + 2, 10**12, 10**20, 10**20 + 1])
     def test_overflowing_profile_is_refused_before_the_stream(self, capsys, command, m):
-        # an even m's ord reads profile(m) before j_{m/2}, so the m passed is the one named
+        # an even m is refused at the gate, before its ord reads j_{m/2}
         assert main([*command, "--m", str(m)]) == 1
-        message = f"error: m={m}: its factorial (2m-1)! is too large to compute\n"
+        message = f"error: m must be <= {INDEX_MAX}, got {m}\n"
         assert capsys.readouterr().err == message
 
     @pytest.mark.parametrize(
         "args,name", [([], "n"), (["--range"], "limit")], ids=["point", "range"]
     )
-    def test_overflowing_bernoulli_index_is_refused(self, capsys, args, name):
-        n = 10**20
+    @pytest.mark.parametrize("n", [INDEX_MAX + 1, 10**12, 10**20])
+    def test_overflowing_bernoulli_index_is_refused(self, capsys, args, name, n):
         assert main(["bernoulli", "--n", str(n), *args]) == 1
-        message = f"error: {name}={n}: 2{name}-1 > sys.maxsize, too large to compute\n"
+        message = f"error: {name} must be <= {INDEX_MAX}, got {n}\n"
         assert capsys.readouterr().err == message
 
     @pytest.mark.parametrize("extra", [[], ["--workers", "2"], ["--checkpoint"]])
-    def test_overflowing_identity_suite_range_is_refused(self, capsys, tmp_path, extra):
+    @pytest.mark.parametrize("m_max", [INDEX_MAX + 1, 10**12, 10**20])
+    def test_overflowing_identity_suite_range_is_refused(self, capsys, tmp_path, extra, m_max):
         # refused before the scan starts, which sweeps T_1..T_{m_max} first
-        m_max = 10**20
         if extra == ["--checkpoint"]:
             extra = ["--checkpoint", str(tmp_path / "ident.ckpt")]
         assert main(["verify", "identity-suite", "--max", str(m_max), *extra]) == 1
-        message = f"error: m_max={m_max}: 2m_max-1 > sys.maxsize, too large to compute\n"
+        message = f"error: m_max must be <= {INDEX_MAX}, got {m_max}\n"
         assert capsys.readouterr().err == message
         assert not (tmp_path / "ident.ckpt").exists()
 
     def test_workers_below_one_is_exit_1(self, capsys):
         for claim in verify.CLAIMS:
             assert main(["verify", claim, "--max", "10", "--workers", "0"]) == 1
+
+    def test_workers_past_the_ceiling_is_exit_1(self, capsys):
+        # refused before any pool is asked for that many processes
+        for claim in verify.CLAIMS:
+            assert main(["verify", claim, "--max", "10", "--workers", str(INDEX_MAX + 1)]) == 1
+            message = f"error: workers must be <= {INDEX_MAX}, got {INDEX_MAX + 1}\n"
+            assert capsys.readouterr().err == message
 
 
 # exact stdout bytes: key order, indentation and number formatting are all part

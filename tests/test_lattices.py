@@ -7,9 +7,9 @@ from math import gcd
 import pytest
 
 import oracles
-from hclat import lattices
+from hclat import lattices, plumbing
 from hclat.bundles import divisibility_report, kappa_basis
-from hclat.exact import nu2, padic_valuation
+from hclat.exact import INDEX_MAX, nu2, padic_valuation
 from hclat.genera import genus_coeffs
 from hclat.lattices import (
     VARIANTS,
@@ -82,13 +82,14 @@ class TestOrdParameter:
         ids=["OrdParameter", "generator_invariants", "minimal_signature", "kappa_basis",
              "divisibility_report", "kernel_structure"],
     )
-    def test_too_large_even_m_is_named_itself(self, call):
-        # m's own profile is read before j_{m/2}, so the error names m, not m/2
-        m = 10**20
+    @pytest.mark.parametrize("m", [INDEX_MAX + 2, 10**12, 10**20])
+    def test_too_large_even_m_is_named_itself(self, monkeypatch, call, m):
+        # the gate refuses m before j_{m/2} is read, so the error names m, not m/2
+        monkeypatch.setattr(plumbing, "factorial", None)  # calling it would raise
         for _ in range(2):  # a raise is not kept
             with pytest.raises(OverflowError) as info:
                 call(m)
-            assert str(info.value) == f"m={m}: its factorial (2m-1)! is too large to compute"
+            assert str(info.value) == f"m must be <= {INDEX_MAX}, got {m}"
 
 
 class TestKernelStructure:

@@ -11,6 +11,7 @@ import pytest
 
 import hclat
 from hclat import bernoulli, bundles, exact, genera, lattices, plumbing, verify
+from hclat.exact import INDEX_MAX
 
 MODULES = (exact, bernoulli, genera, plumbing, lattices, bundles, verify)
 
@@ -78,10 +79,47 @@ def test_every_index_argument_is_gated_cold_and_warm(cold, fn, index, rest, bad)
         call(bad)
 
 
+class _Work(Exception):
+    """Raised by every stubbed route to real work."""
+
+
+def _work(*args):
+    raise _Work
+
+
+# the ceilings that are not INDEX_MAX: vsc_denominator's work grows as sqrt(n), and the
+# answers in dimension 8k read profile(2k)
+OWN_CEILINGS = {
+    "vsc_denominator": (sys.maxsize + 1) // 2,
+    "s_of_Q_formulas": INDEX_MAX // 2,
+    "p2k_solve": INDEX_MAX // 2,
+}
+
+
+@pytest.mark.parametrize("fn,index,rest", INDEX_FUNCTIONS)
+def test_every_index_argument_has_one_ceiling(monkeypatch, cold, fn, index, rest):
+    for mod, name in [
+        (bernoulli, "_tangents"), (bernoulli, "_prime_table"),
+        (plumbing, "factorial"), (genera, "factorial"),
+    ]:
+        monkeypatch.setattr(mod, name, _work)
+    hi = OWN_CEILINGS.get(fn.__name__, INDEX_MAX)
+    for _ in range(2):  # cold, then warm from the call below: a refusal is not kept
+        with pytest.raises(OverflowError) as info:
+            fn(hi + 1, *rest)  # record_range checks its limit here, not on its first step
+        assert str(info.value) == f"{index} must be <= {hi}, got {hi + 1}"
+        try:
+            fn(hi, *rest)  # through the gate, to a stubbed route or a cheap answer
+        except _Work:
+            pass
+
+
 @pytest.mark.parametrize("claim", sorted(verify.CLAIMS))
 def test_workers_is_gated(claim):
     with pytest.raises(ValueError, match="workers must be an int, got True"):
         verify.CLAIMS[claim](4, workers=True)
+    with pytest.raises(OverflowError, match=f"workers must be <= {INDEX_MAX}, got "):
+        verify.CLAIMS[claim](4, workers=INDEX_MAX + 1)
 
 
 def test_no_process_pool_modules_outside_the_identity_pool():

@@ -8,7 +8,7 @@ import oracles
 from hclat import plumbing
 from hclat.bernoulli import tangent_number
 from hclat.bundles import kappa_basis, pairing_matrix
-from hclat.exact import nu2
+from hclat.exact import INDEX_MAX, nu2
 from hclat.genera import stolz_class_coeffs
 from hclat.lattices import generator_invariants
 from hclat.plumbing import (
@@ -39,17 +39,18 @@ class TestProfile:
         names = [f.name for f in fields(DimensionProfile)]
         assert names == ["m", "a", "sigma", "num4", "j", "bezout", "fact", "tangent"]
 
-    @pytest.mark.parametrize("m", [10**20, 10**20 + 1])
+    @pytest.mark.parametrize("m", [INDEX_MAX + 1, 10**12, 10**20, 10**20 + 1])
     def test_overflow_is_refused_before_the_tangent_stream(self, monkeypatch, m):
         def unreachable(n):
-            raise AssertionError(f"drew the tangent stream toward n={n}")
+            raise AssertionError(f"started work toward n={n}")
 
+        monkeypatch.setattr(plumbing, "factorial", unreachable)
         monkeypatch.setattr(plumbing, "bernoulli_record", unreachable)
         monkeypatch.setattr(plumbing, "tangent_number", unreachable)
         for _ in range(2):  # a raise is not kept
             with pytest.raises(OverflowError) as info:
                 profile(m)
-            assert str(info.value) == f"m={m}: its factorial (2m-1)! is too large to compute"
+            assert str(info.value) == f"m must be <= {INDEX_MAX}, got {m}"
 
     def test_factorial_and_tangent_fields(self):
         for m in range(1, 61):
@@ -150,11 +151,12 @@ class TestPk2OfQ:
     def test_values(self, k, value):
         assert pk2_of_Q(k) == value
 
-    @pytest.mark.parametrize("k", [10**20, 10**20 + 1])
-    def test_overflow_message_names_k(self, k):
+    @pytest.mark.parametrize("k", [INDEX_MAX + 1, 10**12, 10**20, 10**20 + 1])
+    def test_overflow_message_names_k(self, monkeypatch, k):
+        monkeypatch.setattr(plumbing, "factorial", None)  # calling it would raise
         with pytest.raises(OverflowError) as info:
             pk2_of_Q(k)
-        assert str(info.value) == f"k={k}: its factorial (2k-1)! is too large to compute"
+        assert str(info.value) == f"k must be <= {INDEX_MAX}, got {k}"
 
 
 class TestSofQ:

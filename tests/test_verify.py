@@ -330,6 +330,18 @@ class TestReportMechanics:
             include_wall_time=False
         )
 
+    @pytest.mark.parametrize(
+        "claim,m_max",
+        [("identity-suite", 60), ("gcd-power-of-two", 40), ("numerator-coprimality", 41)],
+    )
+    def test_resumed_finished_scan_sweeps_nothing(self, monkeypatch, tmp_path, cold, claim, m_max):
+        ckpt = tmp_path / "scan.json"
+        first = verify.CLAIMS[claim](m_max, checkpoint_path=ckpt)
+        monkeypatch.setattr(bernoulli, "_ENGINE", bernoulli.SeidelEngine())
+        monkeypatch.setattr(bernoulli, "_tangents", None)  # calling it would raise
+        again = verify.CLAIMS[claim](m_max, checkpoint_path=ckpt)
+        assert again.to_json(include_wall_time=False) == first.to_json(include_wall_time=False)
+
     def test_mismatched_checkpoint_rejected(self, tmp_path):
         ckpt = tmp_path / "scan.json"
         verify_gcd_power_of_two(40, checkpoint_path=ckpt)
@@ -402,6 +414,13 @@ class TestPrefixStream:
         assert max(sizes) <= m_max // 4 + 1
         # the last payload took the last value the window held
         assert sizes[-1] == 0
+
+    @pytest.mark.parametrize("m_max", [200, 201])
+    @pytest.mark.parametrize("cursor", [2, 37, 100, 198])
+    def test_resumed_stream_yields_only_past_the_cursor(self, m_max, cursor):
+        full = list(verify._even_m_payloads(m_max))
+        payloads = verify._even_m_payloads(m_max, cursor)
+        assert list(payloads) == [p for p in full if p[0] > cursor]
 
     @pytest.mark.parametrize(
         "bad, corrupt",
