@@ -30,8 +30,8 @@ degree ``4n-1``.
 
 The von Staudt-Clausen theorem gives the denominator of ``|B_{2n}|/n`` as
 a prime product, evaluated here without any Bernoulli number, and
-``j = 4 * vsc_denominator(n)``, whose candidate primes are tested against
-one kept table of O(sqrt(n)) bytes, not by trial division.  Each record
+``j = 4 * vsc_denominator(n)``, whose candidate primes are looked up in one
+kept sieve of at most 64 KB, or past it tested by deterministic Miller-Rabin.  Each record
 takes ``j`` from it and is certified rather than reduced by a gcd: writing
 ``T_n = 2^v t`` and ``j = 2^w j'`` with ``t, j'`` odd, it checks
 ``v + w = 2n + 1``, divides ``num4 = t j' / (2^{2n}-1)`` with remainder 0,
@@ -49,8 +49,7 @@ import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
-from math import gcd, isqrt, prod
+from math import gcd, isqrt
 
 from .exact import _require_index, nu2, padic_valuation
 
@@ -195,28 +194,42 @@ def record_range(limit: int) -> Iterator[BernoulliRecord]:
     return (_record(n, t) for n, t in enumerate(_tangents(limit), 1))
 
 
-# (sieve, product): sieve[q] is 1 iff q is prime, for q < len(sieve), and product is the
-# product of those primes; one tuple, swapped whole, so no reader pairs a sieve with
-# another sieve's product
-_PRIMES: tuple[bytearray, int] = (bytearray(2), 1)
+# candidates below it are looked up in the kept sieve, the rest are tested by Miller-Rabin;
+# 2n + 1 for every n of the gcd-power-of-two range is below it
+_SIEVE_END = 1 << 16
+
+# sieve[q] is 1 iff q is prime, for q < len(sieve) <= _SIEVE_END; swapped whole
+_PRIMES = bytearray(2)
 
 
-def _prime_table(limit: int) -> tuple[bytearray, int]:
-    """The kept ``(sieve, product)``, first replaced by a table at least twice as long
-    when its sieve stops short of ``limit``."""
+def _prime_table(limit: int) -> bytearray:
+    """The kept sieve, first replaced by one at least twice as long, but no longer than
+    ``_SIEVE_END``, when it stops short of ``limit < _SIEVE_END``."""
     global _PRIMES
-    table = _PRIMES
-    if len(table[0]) <= limit:
-        size = max(limit + 1, 2 * len(table[0]))
+    sieve = _PRIMES
+    if len(sieve) <= limit:
+        size = min(max(limit + 1, 2 * len(sieve)), _SIEVE_END)
         sieve = bytearray(2) + bytearray([1]) * (size - 2)
         for p in range(2, isqrt(size - 1) + 1):
             if sieve[p]:
                 sieve[p * p :: p] = bytes(len(range(p * p, size, p)))
-        factors = list(compress(range(size), sieve))  # the primes, then products of them
-        while len(factors) > 1:  # pairwise, so each product is of equal-sized factors
-            factors = [prod(factors[i : i + 2]) for i in range(0, len(factors), 2)]
-        table = _PRIMES = (sieve, prod(factors))
-    return table
+        _PRIMES = sieve
+    return sieve
+
+
+def _is_prime(p: int) -> bool:
+    """Miller-Rabin to the first 13 prime bases, exact for ``41 < p < 3.3e24`` (Sorenson and
+    Webster, Math. Comp. 86, 2017), far above any candidate ``2n + 1 <= sys.maxsize + 2``."""
+    if not p & 1:
+        return False
+    s = nu2(p - 1)
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+        # with p - 1 = d 2^s, d odd, a prime p has a^d = 1 or a^(d 2^i) = -1 for some i < s
+        if pow(a, (p - 1) >> s, p) != 1 and p - 1 not in (
+            pow(a, (p - 1) >> i, p) for i in range(1, s + 1)
+        ):
+            return False
+    return True
 
 
 def vsc_denominator(n: int) -> int:
@@ -224,18 +237,17 @@ def vsc_denominator(n: int) -> int:
 
     Equals ``prod(p^(1 + v_p(n)))`` over primes ``p`` with ``p - 1`` dividing
     ``2n``, found among ``d + 1`` for the divisors ``d`` of ``2n``; no Bernoulli
-    number is involved.  A candidate ``p <= 2n + 1`` is tested against the kept
-    table, whose sieve covers ``0 .. isqrt(2n + 1)`` at least: below the sieve's
-    end it is looked up, and above it ``p`` is prime iff ``gcd(p, product) == 1``.
-    That is exact because a composite ``p`` has a prime factor at most
-    ``isqrt(p) <= isqrt(2n + 1)``, which the sieve covers and so divides the
-    product, while a prime ``p`` past the sieve divides no product of smaller primes.
+    number is involved.  A candidate ``p <= 2n + 1`` below ``_SIEVE_END`` is looked
+    up in the kept sieve, which covers ``0 .. min(2n + 1, _SIEVE_END - 1)`` at least,
+    and a larger one is tested by :func:`_is_prime`.  Finding the divisors takes
+    ``isqrt(2n)`` trial divisions, which is nearly all the work at large ``n``.
     """
     _require_index(n, "n", 1, (sys.maxsize + 1) // 2)  # its work grows as sqrt(n) only
-    sieve, product = _prime_table(isqrt(2 * n + 1))
+    two_n = 2 * n
+    sieve = _prime_table(min(two_n + 1, _SIEVE_END - 1))
     out = 1
-    divisors = [d for d in range(1, isqrt(2 * n) + 1) if (2 * n) % d == 0]
-    for p in {d + 1 for d in divisors} | {2 * n // d + 1 for d in divisors}:
-        if sieve[p] if p < len(sieve) else gcd(p, product) == 1:
+    divisors = [d for d in range(1, isqrt(two_n) + 1) if two_n % d == 0]
+    for p in {d + 1 for d in divisors} | {two_n // d + 1 for d in divisors}:
+        if sieve[p] if p < len(sieve) else _is_prime(p):
             out *= p ** (1 + padic_valuation(n, p)) if n % p == 0 else p
     return out

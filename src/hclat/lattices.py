@@ -172,17 +172,19 @@ def generator_invariants(
     Odd ``m``: one generator, the ``sigma_m/8``-fold multiple of the E8
     plumbing.  Even ``m = 2k``: that generator plus a second one built from
     the hyperbolic plumbing (for ``k = 1, 2`` it is the quaternionic or
-    octonionic projective plane instead).  In the ``signature_in_4Z``
-    variant the second generator is replaced so that all signatures in the
-    lattice are divisible by 4 (a factor 4 at ``k = 1, 2``, no change
-    otherwise).
+    octonionic projective plane instead).  The ``signature_in_4Z`` basis, in
+    which every signature is divisible by 4, is derived from the full one: its
+    second generator is scaled by ``lambda_k^2``, which makes it ``4*HP2`` and
+    ``4*OP2`` at ``k = 1, 2``; at every other ``m`` it holds the full basis's
+    very generators, so the two lattices differ only at ``m = 2, 4``.
 
     ``bezout`` selects the representative used in the second generator;
     default is the canonical normalized pair.  Different representatives
     give different generators of the same lattice.  A pair is checked
     against ``m`` in every case.  The basis for the canonical pair (omitted or
-    passed) is memoized per (variant, m, ord), about 14 KB at ``m = 600``, and
-    checked integral on its first computation.
+    passed) is memoized per (variant, m, ord), about 14 KB at ``m = 600`` for the
+    full one, which is checked integral on its first computation and from which
+    the kept ``signature_in_4Z`` basis is derived.
     """
     return _answer(_generator_invariants, _variant_gate, m, ord, bezout, variant)
 
@@ -197,6 +199,15 @@ def _variant_gate(m: int, ord: OrdParameter | int, variant: str) -> OrdParameter
 def _generator_invariants(
     m: int, ord: OrdParameter, bezout: BezoutPair | None, variant: str
 ) -> LatticeBasis:
+    if variant != "full_kernel":
+        # the full basis (the kept one for the canonical pair) with its second generator
+        # scaled by lambda_k^2: 4 at k = 1, 2, and the very same generators elsewhere
+        gens = generator_invariants(m, ord, "full_kernel", bezout).generators
+        if m in (2, 4):
+            g1, (label, g2) = gens
+            gens = (g1, (f"4*{label}", InvariantVector(*(4 * a for a in g2.as_tuple()))))
+        return LatticeBasis(m, ord, variant, gens)
+
     bezout = require_bezout_for(m, bezout)
     prof = profile(m)
     if m % 2:
@@ -214,8 +225,6 @@ def _generator_invariants(
 
     # the weight is wn / wd; y and x carry the Bezout pair (plumbing._bezout_terms)
     wn, wd = ord.value * pk.a**2, lambda_k(k)
-    if variant != "full_kernel":
-        wn, wd = wn * wd, 1
     y, x = _bezout_terms(k, bezout)
     jk2, fk2 = pk.j**2, pk.fact**2
     t2 = prof.num4 * jk2
@@ -232,12 +241,7 @@ def _generator_invariants(
         ),
         _exact_int(2 * wn * fk2, wd, "second generator p_half_sq"),
     )
-    if k == 1:
-        label = "HP2" if variant == "full_kernel" else "4*HP2"
-    elif k == 2:
-        label = "OP2" if variant == "full_kernel" else "4*OP2"
-    else:
-        label = "ord*(Q - s(Q)*P)"
+    label = {1: "HP2", 2: "OP2"}.get(k, "ord*(Q - s(Q)*P)")
     return LatticeBasis(m, ord, variant, (("(sigma/8)*P", g1), (label, g2)))
 
 

@@ -35,5 +35,5 @@ def cold(monkeypatch, fresh_answers):
     from hclat import bernoulli, plumbing
 
     monkeypatch.setattr(bernoulli, "_ENGINE", bernoulli.SeidelEngine())
-    monkeypatch.setattr(bernoulli, "_PRIMES", (bytearray(2), 1))
+    monkeypatch.setattr(bernoulli, "_PRIMES", bytearray(2))
     monkeypatch.setattr(plumbing, "_profiles", {})

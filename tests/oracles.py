@@ -114,7 +114,7 @@ def gcd_reduction(n: int, t: int) -> tuple[Fraction, int, int]:
     return Fraction(4 * n * num4, j), num4, j
 
 
-def _primes_upto(n: int) -> list[int]:
+def primes_upto(n: int) -> list[int]:
     if n < 2:
         return []
     sieve = bytearray([1]) * (n + 1)
@@ -139,7 +139,7 @@ def vsc_denominator_sieve(n: int) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
     out = 1
-    for p in _primes_upto(2 * n + 1):
+    for p in primes_upto(2 * n + 1):
         if (2 * n) % (p - 1) == 0:
             out *= p ** (1 + _valuation(n, p))
     return out

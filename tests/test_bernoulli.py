@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from fractions import Fraction
 from itertools import islice
-from math import factorial, isqrt, prod
+from math import factorial
 
 import pytest
 
@@ -15,6 +15,7 @@ from hclat.bernoulli import (
     BernoulliRecord,
     SeidelEngine,
     _divmod_mersenne,
+    _is_prime,
     _record,
     _tangents,
     bernoulli_abs,
@@ -31,6 +32,7 @@ from oracles import (
     brent_harvey_columns,
     brent_harvey_tangents,
     gcd_reduction,
+    primes_upto,
     seidel_tangents,
     tangent_oracle,
     vsc_denominator_sieve,
@@ -134,7 +136,7 @@ class TestIndexCeiling:
 
 
 def _fresh_table(monkeypatch):
-    monkeypatch.setattr(bernoulli, "_PRIMES", (bytearray(2), 1))
+    monkeypatch.setattr(bernoulli, "_PRIMES", bytearray(2))
 
 
 class TestPrimeTable:
@@ -145,35 +147,59 @@ class TestPrimeTable:
         descending = [vsc_denominator(n) for n in range(3000, 0, -1)]
         assert descending[::-1] == ascending
 
-    def test_sieve_stays_near_the_square_root(self, monkeypatch):
+    def test_sieve_stops_at_its_end(self, monkeypatch):
         _fresh_table(monkeypatch)
         n = 10**9
         assert vsc_denominator(n) == vsc_denominator_trial(n)
-        sieve, product = bernoulli._PRIMES
-        assert len(sieve) <= 2 * isqrt(2 * n + 1) + 2
-        assert len(sieve) + product.bit_length() // 8 < 100_000
+        assert len(bernoulli._PRIMES) == bernoulli._SIEVE_END
 
-    def test_table_matches_a_sieve_and_its_product(self, monkeypatch):
+    def test_table_matches_a_sieve(self, monkeypatch):
         _fresh_table(monkeypatch)
         vsc_denominator(5000)
-        sieve, product = bernoulli._PRIMES
+        sieve = bernoulli._PRIMES
+        assert len(sieve) > 2 * 5000 + 1
         primes = [p for p in range(len(sieve)) if sieve[p]]
         assert primes == [p for p in range(2, len(sieve)) if all(p % q for q in range(2, p))]
-        assert product == prod(primes)
+
+    def test_miller_rabin_agrees_with_a_sieve_past_the_table(self):
+        end = bernoulli._SIEVE_END
+        primes = set(primes_upto(4 * end))
+        assert [p for p in range(end, 4 * end) if _is_prime(p)] == sorted(primes - set(range(end)))
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            3215031751,  # strong pseudoprime to the bases 2, 3, 5, 7
+            3825123056546413051,  # to every prime base up to 23
+            318665857834031151167461,  # to every prime base up to 37: 41 is needed
+            (2**61 - 1) * (2**31 - 1),
+        ],
+    )
+    def test_miller_rabin_refuses_strong_pseudoprimes(self, p):
+        assert not _is_prime(p)
+
+    def test_miller_rabin_accepts_large_primes(self):
+        assert all(_is_prime(p) for p in (2**61 - 1, 2**89 - 1, 9223372036854775783))
+
+    def test_agrees_with_trial_division_past_the_sieve(self, monkeypatch):
+        # 2n highly composite, so most candidates d + 1 are past the sieve's end
+        _fresh_table(monkeypatch)
+        for n in (367567200, 551350800, 3491888400, 10**11 + 7):
+            assert vsc_denominator(n) == vsc_denominator_trial(n), n
 
     def test_each_rebuild_at_least_doubles_the_sieve(self, monkeypatch):
         _fresh_table(monkeypatch)
         lengths = [2]
         for n in range(1, 20001):
             vsc_denominator(n)
-            if len(bernoulli._PRIMES[0]) != lengths[-1]:
-                lengths.append(len(bernoulli._PRIMES[0]))
-        assert lengths[-1] > isqrt(2 * 20000 + 1)
+            if len(bernoulli._PRIMES) != lengths[-1]:
+                lengths.append(len(bernoulli._PRIMES))
+        assert lengths[-1] > 2 * 20000 + 1
         assert all(b >= 2 * a for a, b in zip(lengths, lengths[1:])), lengths
 
     def test_concurrent_first_calls_agree_with_the_oracle(self, monkeypatch):
-        # threads that each grow the table from a fresh one: every reader pairs a
-        # sieve with its own product, whichever table wins the swap
+        # threads that each grow the table from a fresh one: every reader gets one whole
+        # sieve, whichever table wins the swap
         _fresh_table(monkeypatch)
         ns = [n for k in range(1, 9) for n in (10**k // 3, 7 * 10**k // 9)] * 3
         interval = sys.getswitchinterval()

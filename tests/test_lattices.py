@@ -201,6 +201,34 @@ class TestGeneratorsAgainstFractionReference:
                 )
 
 
+class TestSignatureIn4ZFromFullKernel:
+    """The ``signature_in_4Z`` basis is the full one with its second generator scaled by
+    ``lambda_k^2``; the Fraction reference above, which gives it its own weight
+    ``ord a_k^2 lambda_k``, checks the same bases and Bezout shifts."""
+
+    def test_second_generator_is_the_full_one_times_lambda_squared(self):
+        for m in range(2, 301):
+            lam2 = plumbing.lambda_k(m // 2) ** 2 if m % 2 == 0 else 1
+            for t in (0, -2, -1, 1, 2):
+                pair = canonical_bezout(m).shifted(t) if t else None
+                full = generator_invariants(m, 1, "full_kernel", pair)
+                sig4 = generator_invariants(m, 1, "signature_in_4Z", pair)
+                assert sig4.generators[0] == full.generators[0]
+                if m % 2:
+                    assert len(sig4.generators) == 1
+                    continue
+                (label4, vec4), (label, vec) = sig4.generators[1], full.generators[1]
+                assert vec4.as_tuple() == tuple(lam2 * a for a in vec.as_tuple())
+                assert label4 == (f"4*{label}" if lam2 == 4 else label)
+
+    def test_kept_basis_shares_the_full_generators_but_at_m_2_and_4(self):
+        for m in range(2, 41):
+            full = generator_invariants(m, 1, "full_kernel")
+            sig4 = generator_invariants(m, 1, "signature_in_4Z")
+            assert (sig4.generators is full.generators) == (m not in (2, 4))
+            assert sig4.generators[0] is full.generators[0]
+
+
 class TestMinimalSignature:
     def test_exceptional_dimensions(self):
         for m in (1, 2, 4):

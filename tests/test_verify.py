@@ -1,13 +1,15 @@
 import concurrent.futures
+import dataclasses
 import json
 import multiprocessing
 import os
 import random
+from collections import Counter
 from math import gcd
 
 import pytest
 
-from hclat import bernoulli, plumbing, verify
+from hclat import bernoulli, lattices, plumbing, verify
 from hclat.bernoulli import bernoulli_abs
 from hclat.cli import main
 from hclat.plumbing import sigma_m
@@ -146,6 +148,50 @@ class TestIdentitySuite:
         assert parallel.to_json(include_wall_time=False) == serial.to_json(
             include_wall_time=False
         )
+
+
+class TestDistinctLattices:
+    """The suite compares the signature_in_4Z basis only where it differs from the full one."""
+
+    def test_sig4_is_compared_at_m_2_and_4_only(self, monkeypatch):
+        compared = []
+        span_equal = lattices.lattice_span_equal
+
+        def recording(b1, b2):
+            compared.append((b1.m, b1.variant))
+            return span_equal(b1, b2)
+
+        monkeypatch.setattr(lattices, "lattice_span_equal", recording)
+        for m in range(2, 13):
+            assert verify._check_identities((m,)) == (m, [])
+        shifts = {m: Counter(v for mm, v in compared if mm == m) for m in range(2, 13)}
+        for m in (2, 4):
+            assert shifts[m] == {"full_kernel": 4, "signature_in_4Z": 4}
+        for m in (6, 8, 10, 12):
+            assert shifts[m] == {"full_kernel": 4}
+        assert not any(shifts[m] for m in range(3, 13, 2))
+
+    @pytest.mark.parametrize("m", [2, 4])
+    @pytest.mark.parametrize(
+        "shifted,kind", [(False, "generator_consistency"), (True, "bezout_robustness")]
+    )
+    def test_a_wrong_sig4_basis_fails_where_it_differs(self, monkeypatch, m, shifted, kind):
+        build = lattices.generator_invariants
+
+        def corrupted(m_, ord=1, variant="full_kernel", bezout=None):
+            basis = build(m_, ord, variant, bezout)
+            if variant == "full_kernel" or m_ != m or (bezout is not None) != shifted:
+                return basis
+            g1, (label, g2) = basis.generators
+            if shifted:  # a lattice of index 2 in the canonical one
+                g2 = lattices.InvariantVector(*(2 * a for a in g2.as_tuple()))
+            else:  # a signature the L-genus does not give
+                g2 = dataclasses.replace(g2, sigma=g2.sigma + 1)
+            return dataclasses.replace(basis, generators=(g1, (label, g2)))
+
+        monkeypatch.setattr(lattices, "generator_invariants", corrupted)
+        _, found = verify._check_identities((m,))
+        assert kind in {w["kind"] for w in found}
 
 
 class TestReportMechanics:
