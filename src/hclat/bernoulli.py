@@ -49,6 +49,7 @@ import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count
 from math import gcd, isqrt
 
 from .exact import _require_index, nu2, padic_valuation
@@ -232,6 +233,48 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _rho(x: int) -> int:
+    """A factor ``1 < g < x`` of the odd composite ``x``: Pollard's rho on ``y^2 + c``, with
+    Brent's cycle search (each ``y`` against the last one at a power-of-two step)."""
+    for c in count(1):
+        y, r, g = 2, 1, 1
+        while g == 1:
+            y0 = y
+            for _ in range(r):
+                y = (y * y + c) % x
+                g = gcd(y0 - y, x)
+                if g != 1:
+                    break
+            r *= 2
+        if g != x:  # else the walk closed its cycle mod every factor at once: next c
+            return g
+
+
+def _factor(x: int, sieve: bytearray) -> dict[int, int]:
+    """``{p: e}`` with ``x = prod(p^e)`` for ``x >= 1``, by trial division with the primes of
+    ``sieve``.  A cofactor left with no prime factor below ``len(sieve)`` is prime when it
+    is below ``len(sieve)^2`` or passes :func:`_is_prime`, and is split by :func:`_rho` if not."""
+    out: dict[int, int] = {}
+    for p in compress(range(len(sieve)), sieve):
+        if p * p > x:
+            break
+        if not x % p:
+            e = 0
+            while not x % p:
+                x //= p
+                e += 1
+            out[p] = e
+    rough = [x] if x > 1 else []
+    while rough:
+        y = rough.pop()
+        if y < len(sieve) ** 2 or _is_prime(y):
+            out[y] = out.get(y, 0) + 1
+        else:
+            d = _rho(y)
+            rough += (d, y // d)
+    return out
+
+
 def vsc_denominator(n: int) -> int:
     """Denominator of ``|B_{2n}|/n`` from the von Staudt-Clausen theorem.
 
@@ -239,15 +282,22 @@ def vsc_denominator(n: int) -> int:
     ``2n``, found among ``d + 1`` for the divisors ``d`` of ``2n``; no Bernoulli
     number is involved.  A candidate ``p <= 2n + 1`` below ``_SIEVE_END`` is looked
     up in the kept sieve, which covers ``0 .. min(2n + 1, _SIEVE_END - 1)`` at least,
-    and a larger one is tested by :func:`_is_prime`.  Finding the divisors takes
-    ``isqrt(2n)`` trial divisions, which is nearly all the work at large ``n``.
+    and a larger one is tested by :func:`_is_prime`.  The divisors are enumerated
+    from the factorisation of ``2n`` (:func:`_factor`), found in milliseconds up to
+    the bound: ``2n`` has at most three prime factors past the sieve.
     """
-    _require_index(n, "n", 1, (sys.maxsize + 1) // 2)  # its work grows as sqrt(n) only
+    _require_index(n, "n", 1, (sys.maxsize + 1) // 2)  # 2n fits in 63 bits
     two_n = 2 * n
     sieve = _prime_table(min(two_n + 1, _SIEVE_END - 1))
-    out = 1
-    divisors = [d for d in range(1, isqrt(two_n) + 1) if two_n % d == 0]
-    for p in {d + 1 for d in divisors} | {two_n // d + 1 for d in divisors}:
-        if sieve[p] if p < len(sieve) else _is_prime(p):
+    size, out = len(sieve), 1
+    divisors = [1]
+    for q, e in _factor(two_n, sieve).items():
+        powers = divisors
+        for _ in range(e):  # the divisors so far times q, q^2, .., q^e
+            powers = [d * q for d in powers]
+            divisors += powers
+    for d in divisors:
+        p = d + 1
+        if sieve[p] if p < size else _is_prime(p):
             out *= p ** (1 + padic_valuation(n, p)) if n % p == 0 else p
     return out

@@ -15,10 +15,16 @@ import signal
 import sys
 from dataclasses import asdict
 
-from . import bernoulli, bundles, genera, lattices, plumbing, verify
-from .verify import to_jsonable
+# each command imports the layers it runs, so a cold start loads only these
+from . import bernoulli
+from .exact import allow_big_str, to_jsonable
 
 USAGE_ERROR = 1
+
+# genera.GENERA + ("S",) and sorted(verify.CLAIMS), held here so that building the
+# parser imports neither module (a test keeps them equal)
+GENUS_CHOICES = ("L", "Ahat", "Ph", "AhatPh", "S")
+CLAIM_CHOICES = ("gcd-power-of-two", "identity-suite", "numerator-coprimality")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,6 +66,8 @@ def _cmd_bernoulli(args) -> int:
 
 
 def _cmd_coeffs(args) -> int:
+    from . import genera
+
     if args.genus == "S":
         g = genera.stolz_class_coeffs(args.m)
     else:
@@ -81,6 +89,8 @@ def _cmd_coeffs(args) -> int:
 
 
 def _cmd_plumbing(args) -> int:
+    from . import plumbing
+
     prof = plumbing.profile(args.m)
     even = args.m % 2 == 0
     data = to_jsonable(
@@ -106,6 +116,8 @@ def _variant(name: str) -> str:
 
 
 def _cmd_lattice(args) -> int:
+    from . import lattices
+
     basis = lattices.generator_invariants(args.m, args.ord, _variant(args.variant))
     structure = lattices.kernel_structure(args.m, args.ord)
     rows = [to_jsonable({"label": label, **asdict(v)}) for label, v in basis.generators]
@@ -127,6 +139,8 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_minimal(args) -> int:
+    from . import lattices
+
     value, exponent = lattices.minimal_signature(args.m, args.ord)
     _emit(
         {
@@ -141,6 +155,8 @@ def _cmd_minimal(args) -> int:
 
 
 def _cmd_bundle(args) -> int:
+    from . import bundles
+
     report = bundles.divisibility_report(args.m, args.ord)
     _emit(
         {
@@ -158,12 +174,16 @@ def _cmd_bundle(args) -> int:
 
 
 def _cmd_kappa_basis(args) -> int:
+    from . import bundles
+
     exprs = bundles.kappa_basis(args.m, args.ord)
     _emit({"m": args.m, "ord": args.ord, "basis": [asdict(e) for e in exprs]})
     return 0
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
+
     if args.checkpoint == "":
         raise ValueError("--checkpoint needs a file path, not an empty string")
     fn = verify.CLAIMS[args.claim]
@@ -213,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_bernoulli)
 
     p = sub.add_parser("coeffs", help="genus coefficients on {p_top, p_half^2}")
-    p.add_argument("--genus", choices=genera.GENERA + ("S",), required=True)
+    p.add_argument("--genus", choices=GENUS_CHOICES, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(fn=_cmd_coeffs)
@@ -246,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_kappa_basis)
 
     p = sub.add_parser("verify", help="long-range verification scans")
-    p.add_argument("claim", choices=sorted(verify.CLAIMS))
+    p.add_argument("claim", choices=CLAIM_CHOICES)
     p.add_argument("--max", type=int, default=None, help="scan bound on m")
     p.add_argument(
         "--full",
@@ -263,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    verify.allow_big_str()
+    allow_big_str()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

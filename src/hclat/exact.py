@@ -4,11 +4,14 @@ Integers are plain Python ints (arbitrary precision), rationals are
 ``fractions.Fraction`` (always stored reduced, denominator positive).
 Everything downstream is built on the operations here: normalized
 Bezout pairs for a coprime numerator/denominator, and p-adic valuations.
-No rounding happens anywhere in this package.
+No rounding happens anywhere in this package.  The one JSON encoding of
+those values, and the one setter of the int-to-str digit limit it needs,
+live here too, so the CLI's cold path loads no other module for them.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -95,6 +98,28 @@ def _require_index(value: object, name: str, lo: int, hi: int = INDEX_MAX) -> No
         raise ValueError(f"{name} must be >= {lo}")
     if value > hi:
         raise OverflowError(f"{name} must be <= {hi}, got {value}")
+
+
+def allow_big_str() -> None:
+    """Raise the int-to-str digit limit, which large scans and queries exceed."""
+    if sys.get_int_max_str_digits() < 2_000_000:
+        sys.set_int_max_str_digits(2_000_000)
+
+
+def to_jsonable(obj):
+    """Integers become decimal strings and rationals ``{"num": ..., "den": ...}``
+    objects, inside dicts, lists and tuples too; anything else passes unchanged."""
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, Fraction):
+        return {"num": str(obj.numerator), "den": str(obj.denominator)}
+    if isinstance(obj, dict):
+        return {k: to_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [to_jsonable(v) for v in obj]
+    return obj
 
 
 def padic_valuation(x: int | Fraction, p: int) -> int:

@@ -31,13 +31,16 @@ the library's memo in one strip, and a pool's workers, which start at its
 first submit, inherit that memo when forked.  With ``workers`` above 1 it
 owns a process pool of that many processes, at most the CPU count, and hands
 the pool's ``map`` to the shared scan driver, which knows cursors,
-checkpoints and reports but no processes.  Only there is
-``concurrent.futures``' process pool imported, so no other scan or query
-loads ``multiprocessing`` and the modules it pulls in.  No report content
-depends on ``workers``.  Checkpoints persist the scan cursor and the
-counterexamples found so far, not Bernoulli data, every 50 checked indices
-and on exit; a resumed run recomputes the (cheap relative to disk) stream from
-T_1 if an index is left past its cursor, else nothing, and skips the check work done.
+checkpoints and reports but no processes.  Each scan imports what it
+runs: the prefix scans load ``exact``, ``bernoulli``, ``plumbing`` and this
+module only; the identity suite's per-index check imports ``genera``,
+``lattices`` and ``bundles``; and only its pool imports ``concurrent.futures``,
+so no other scan or query loads ``multiprocessing`` and the modules it pulls
+in.  No report content depends on ``workers``.  Checkpoints persist the
+scan cursor and the counterexamples found so far, not Bernoulli data, every
+50 checked indices and on exit; a resumed run recomputes the (cheap relative
+to disk) stream from T_1 if an index is left past its cursor, else nothing,
+and skips the check work done.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from __future__ import annotations
 import json
 import os
 import signal
-import sys
 import time
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
@@ -54,9 +56,9 @@ from functools import partial
 from math import gcd
 from pathlib import Path
 
-from . import bundles, genera, lattices, plumbing
+from . import plumbing
 from .bernoulli import _divmod_mersenne, record_range, tangent_number
-from .exact import _require_index, gcd_with_square, nu2
+from .exact import _require_index, allow_big_str, gcd_with_square, nu2, to_jsonable
 
 __all__ = [
     "VerificationReport",
@@ -71,28 +73,6 @@ __all__ = [
 # desk-scale defaults and the opt-in full ranges per claim
 DESK_RANGES = {"gcd-power-of-two": 300, "numerator-coprimality": 300, "identity-suite": 50}
 FULL_RANGES = {"gcd-power-of-two": 2678, "numerator-coprimality": 42000, "identity-suite": 200}
-
-
-def allow_big_str() -> None:
-    """Raise the int-to-str digit limit, which large scans and queries exceed."""
-    if sys.get_int_max_str_digits() < 2_000_000:
-        sys.set_int_max_str_digits(2_000_000)
-
-
-def to_jsonable(obj):
-    """Integers become decimal strings and rationals ``{"num": ..., "den": ...}``
-    objects, inside dicts, lists and tuples too; anything else passes unchanged."""
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, Fraction):
-        return {"num": str(obj.numerator), "den": str(obj.denominator)}
-    if isinstance(obj, dict):
-        return {k: to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    return obj
 
 
 @dataclass
@@ -346,6 +326,9 @@ def verify_numerator_coprimality(
 
 def _check_identities(payload: tuple[int]) -> tuple[int, list[dict]]:
     """Every cross-module identity at one index m (>= 2)."""
+    # imported here, where the suite runs: the prefix scans need none of these layers
+    from . import bundles, genera, lattices
+
     (m,) = payload
     out: list[dict] = []
     prof = plumbing.profile(m)

@@ -2,6 +2,7 @@ import random
 import signal
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from fractions import Fraction
@@ -15,6 +16,7 @@ from hclat.bernoulli import (
     BernoulliRecord,
     SeidelEngine,
     _divmod_mersenne,
+    _factor,
     _is_prime,
     _record,
     _tangents,
@@ -106,6 +108,57 @@ class TestVscDenominator:
         sample = [rng.randint(1, 10**7) for _ in range(200)]
         for n in [*range(1, 3001), *sample, 10**9]:
             assert vsc_denominator(n) == vsc_denominator_trial(n), n
+
+
+def _prime_below(x: int) -> int:
+    x -= 1 - x % 2
+    while not _is_prime(x):
+        x -= 2
+    return x
+
+
+# 2^31 - 1 and the prime below it: 2n = 2pq leaves pq near 2^62 past the sieve
+P31 = 2**31 - 1
+Q31 = _prime_below(P31)
+
+
+class TestFactoring:
+    @pytest.mark.parametrize(
+        "x",
+        [
+            2 * P31 * Q31,
+            2 * P31 * P31,  # a square cofactor
+            _prime_below(2**21) * _prime_below(2**21 - 100) * _prime_below(2**20),
+            2**63,
+            2 * 3**3 * 65521 * 65537,  # the sieve's last prime and the first past it
+            10**18,
+            2,
+        ],
+    )
+    def test_factors_multiply_back_and_are_prime(self, x):
+        sieve = bernoulli._prime_table(bernoulli._SIEVE_END - 1)
+        factors = _factor(x, sieve)
+        product = 1
+        for p, e in factors.items():
+            assert p < len(sieve) and sieve[p] or _is_prime(p), p
+            product *= p**e
+        assert product == x
+
+    @pytest.mark.parametrize("n", [(sys.maxsize + 1) // 2, P31 * Q31])
+    def test_near_the_bound_in_under_a_second(self, monkeypatch, n):
+        _fresh_table(monkeypatch)
+        start = time.perf_counter()
+        got = vsc_denominator(n)
+        assert time.perf_counter() - start < 1.0
+        if n == P31 * Q31:
+            # 2n = 2pq: the candidates d + 1 that can be prime are 2, 3, 2p+1, 2q+1, 2pq+1
+            expected = 6
+            for c in (2 * P31 + 1, 2 * Q31 + 1, 2 * n + 1):
+                expected *= c if _is_prime(c) else 1
+        else:
+            # 2n = 2^63: 2^63 for p = 2, and the Fermat primes 2^(2^i) + 1 below 2^63 + 1
+            expected = 2**63 * 3 * 5 * 17 * 257 * 65537
+        assert got == expected
 
 
 class TestIndexCeiling:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import hclat
-from hclat import genera, verify
+from hclat import cli, genera, verify
 from hclat.exact import INDEX_MAX
 from hclat.cli import main
 
@@ -188,6 +188,22 @@ class TestErrorHandling:
 
     def test_missing_required_is_exit_1(self, capsys):
         assert main(["bernoulli"]) == 1
+
+    def test_choices_are_the_library_names(self):
+        # the parser holds its own copies so that building it imports neither module
+        assert cli.GENUS_CHOICES == genera.GENERA + ("S",)
+        assert list(cli.CLAIM_CHOICES) == sorted(verify.CLAIMS)
+
+    @pytest.mark.parametrize(
+        "argv,choices",
+        [
+            (["coeffs", "--genus", "Q", "--m", "4"], "{L,Ahat,Ph,AhatPh,S}"),
+            (["verify", "nope"], "{gcd-power-of-two,identity-suite,numerator-coprimality}"),
+        ],
+    )
+    def test_a_bad_choice_prints_the_usage_with_every_choice(self, capsys, argv, choices):
+        assert main(argv) == 1
+        assert choices in capsys.readouterr().err
 
     @pytest.mark.parametrize("m", [10**12, 10**20])
     def test_overflowing_index_is_one_error_line(self, capsys, m):

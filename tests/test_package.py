@@ -87,7 +87,7 @@ def _work(*args):
     raise _Work
 
 
-# the ceilings that are not INDEX_MAX: vsc_denominator's work grows as sqrt(n), and the
+# the ceilings that are not INDEX_MAX: vsc_denominator factors 2n in 63 bits, and the
 # answers in dimension 8k read profile(2k)
 OWN_CEILINGS = {
     "vsc_denominator": (sys.maxsize + 1) // 2,
@@ -136,6 +136,11 @@ verify_numerator_coprimality(40, workers=2)
 verify_identity_suite(12)
 print(sorted(m for m in sys.modules if m.split(".")[0] in ("multiprocessing", "concurrent")))
 """
+    assert _python(code) == "[]\n"
+
+
+def _python(code: str) -> str:
+    """What ``code`` prints when run by a new interpreter that imports this ``hclat``."""
     src = str(Path(hclat.__file__).resolve().parents[1])
     path = filter(None, [src, os.environ.get("PYTHONPATH")])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
@@ -143,7 +148,62 @@ print(sorted(m for m in sys.modules if m.split(".")[0] in ("multiprocessing", "c
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+LOADED = "print(sorted(m for m in sys.modules if m.startswith('hclat')))"
+COLD = ["hclat", "hclat.bernoulli", "hclat.cli", "hclat.exact"]
+
+
+@pytest.mark.parametrize(
+    "code,loaded",
+    [
+        # the cold path of every command: the parser, the encoder and the records
+        ("import hclat.cli", COLD),
+        ("from hclat import bernoulli", ["hclat", "hclat.bernoulli", "hclat.exact"]),
+        # a submodule's name does not resolve the public surface
+        ("import hclat; assert not hasattr(hclat, 'lattices')", ["hclat"]),
+        (
+            "import contextlib, io, hclat.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert hclat.cli.main(['verify', 'gcd-power-of-two', '--max', '40']) == 0",
+            [*COLD, "hclat.plumbing", "hclat.verify"],
+        ),
+    ],
+    ids=["cli", "bernoulli", "hasattr", "prefix-scan"],
+)
+def test_each_use_loads_only_its_layers(code, loaded):
+    assert _python(f"import sys\n{code}\n{LOADED}") == f"{loaded}\n"
+
+
+def test_one_public_access_binds_the_whole_surface():
+    code = """
+import hclat
+before = set(vars(hclat))
+hclat.nu2
+# bound names are read from the namespace, and no hook is left to slow those reads
+print(all(name in vars(hclat) for name in hclat.__all__), "__all__" in vars(hclat))
+print("__getattr__" in vars(hclat), "__dir__" in vars(hclat))
+print("nu2" in before, sorted(n for n in dir(hclat) if not n.startswith("_")) == sorted(
+    [*hclat.__all__, "bernoulli", "bundles", "exact", "genera", "lattices", "plumbing", "verify"]
+))
+try:
+    hclat.no_such_name
+except AttributeError as exc:
+    print(exc)
+"""
+    assert _python(code) == (
+        "True True\nFalse False\nFalse True\nmodule 'hclat' has no attribute 'no_such_name'\n"
+    )
+
+
+def test_dir_lists_the_surface_before_any_access():
+    code = """
+import hclat
+names = dir(hclat)
+print(names == sorted(vars(hclat)), set(hclat.__all__) <= set(names))
+"""
+    assert _python(code) == "True True\n"
 
 
 def _tree(mod) -> ast.Module:
