@@ -31,7 +31,7 @@ degree ``4n-1``.
 The von Staudt-Clausen theorem gives the denominator of ``|B_{2n}|/n`` as
 a prime product, evaluated here without any Bernoulli number, and
 ``j = 4 * vsc_denominator(n)``, whose candidate primes are looked up in one
-kept sieve of at most 64 KB, or past it tested by deterministic Miller-Rabin.  Each record
+sieve of ``0 .. 2 INDEX_MAX + 1``, built on first use.  Each record
 takes ``j`` from it and is certified rather than reduced by a gcd: writing
 ``T_n = 2^v t`` and ``j = 2^w j'`` with ``t, j'`` odd, it checks
 ``v + w = 2n + 1``, divides ``num4 = t j' / (2^{2n}-1)`` with remainder 0,
@@ -44,15 +44,14 @@ them) fails one of the three checks.
 
 from __future__ import annotations
 
-import sys
 import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, count
+from functools import cache
 from math import gcd, isqrt
 
-from .exact import _require_index, nu2, padic_valuation
+from .exact import INDEX_MAX, _require_index, nu2, padic_valuation
 
 __all__ = [
     "BernoulliRecord",
@@ -195,84 +194,16 @@ def record_range(limit: int) -> Iterator[BernoulliRecord]:
     return (_record(n, t) for n, t in enumerate(_tangents(limit), 1))
 
 
-# candidates below it are looked up in the kept sieve, the rest are tested by Miller-Rabin;
-# 2n + 1 for every n of the gcd-power-of-two range is below it
-_SIEVE_END = 1 << 16
-
-# sieve[q] is 1 iff q is prime, for q < len(sieve) <= _SIEVE_END; swapped whole
-_PRIMES = bytearray(2)
-
-
-def _prime_table(limit: int) -> bytearray:
-    """The kept sieve, first replaced by one at least twice as long, but no longer than
-    ``_SIEVE_END``, when it stops short of ``limit < _SIEVE_END``."""
-    global _PRIMES
-    sieve = _PRIMES
-    if len(sieve) <= limit:
-        size = min(max(limit + 1, 2 * len(sieve)), _SIEVE_END)
-        sieve = bytearray(2) + bytearray([1]) * (size - 2)
-        for p in range(2, isqrt(size - 1) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = bytes(len(range(p * p, size, p)))
-        _PRIMES = sieve
-    return sieve
-
-
-def _is_prime(p: int) -> bool:
-    """Miller-Rabin to the first 13 prime bases, exact for ``41 < p < 3.3e24`` (Sorenson and
-    Webster, Math. Comp. 86, 2017), far above any candidate ``2n + 1 <= sys.maxsize + 2``."""
-    if not p & 1:
-        return False
-    s = nu2(p - 1)
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
-        # with p - 1 = d 2^s, d odd, a prime p has a^d = 1 or a^(d 2^i) = -1 for some i < s
-        if pow(a, (p - 1) >> s, p) != 1 and p - 1 not in (
-            pow(a, (p - 1) >> i, p) for i in range(1, s + 1)
-        ):
-            return False
-    return True
-
-
-def _rho(x: int) -> int:
-    """A factor ``1 < g < x`` of the odd composite ``x``: Pollard's rho on ``y^2 + c``, with
-    Brent's cycle search (each ``y`` against the last one at a power-of-two step)."""
-    for c in count(1):
-        y, r, g = 2, 1, 1
-        while g == 1:
-            y0 = y
-            for _ in range(r):
-                y = (y * y + c) % x
-                g = gcd(y0 - y, x)
-                if g != 1:
-                    break
-            r *= 2
-        if g != x:  # else the walk closed its cycle mod every factor at once: next c
-            return g
-
-
-def _factor(x: int, sieve: bytearray) -> dict[int, int]:
-    """``{p: e}`` with ``x = prod(p^e)`` for ``x >= 1``, by trial division with the primes of
-    ``sieve``.  A cofactor left with no prime factor below ``len(sieve)`` is prime when it
-    is below ``len(sieve)^2`` or passes :func:`_is_prime`, and is split by :func:`_rho` if not."""
-    out: dict[int, int] = {}
-    for p in compress(range(len(sieve)), sieve):
-        if p * p > x:
-            break
-        if not x % p:
-            e = 0
-            while not x % p:
-                x //= p
-                e += 1
-            out[p] = e
-    rough = [x] if x > 1 else []
-    while rough:
-        y = rough.pop()
-        if y < len(sieve) ** 2 or _is_prime(y):
-            out[y] = out.get(y, 0) + 1
-        else:
-            d = _rho(y)
-            rough += (d, y // d)
-    return out
+@cache
+def _sieve() -> bytes:
+    """``sieve[q]`` is 1 iff ``q`` is prime, for ``q <= 2 INDEX_MAX + 1``, the largest
+    candidate of an index under the ceiling; built on the first call, not at import."""
+    size = 2 * INDEX_MAX + 2
+    sieve = bytearray(2) + bytearray([1]) * (size - 2)
+    for p in range(2, isqrt(size - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, size, p)))
+    return bytes(sieve)
 
 
 def vsc_denominator(n: int) -> int:
@@ -280,24 +211,14 @@ def vsc_denominator(n: int) -> int:
 
     Equals ``prod(p^(1 + v_p(n)))`` over primes ``p`` with ``p - 1`` dividing
     ``2n``, found among ``d + 1`` for the divisors ``d`` of ``2n``; no Bernoulli
-    number is involved.  A candidate ``p <= 2n + 1`` below ``_SIEVE_END`` is looked
-    up in the kept sieve, which covers ``0 .. min(2n + 1, _SIEVE_END - 1)`` at least,
-    and a larger one is tested by :func:`_is_prime`.  The divisors are enumerated
-    from the factorisation of ``2n`` (:func:`_factor`), found in milliseconds up to
-    the bound: ``2n`` has at most three prime factors past the sieve.
+    number is involved.  The divisors come in pairs ``d, 2n / d`` from trial division
+    up to ``isqrt(2n) <= 447``, and each candidate is looked up in :func:`_sieve`.
     """
-    _require_index(n, "n", 1, (sys.maxsize + 1) // 2)  # 2n fits in 63 bits
-    two_n = 2 * n
-    sieve = _prime_table(min(two_n + 1, _SIEVE_END - 1))
-    size, out = len(sieve), 1
-    divisors = [1]
-    for q, e in _factor(two_n, sieve).items():
-        powers = divisors
-        for _ in range(e):  # the divisors so far times q, q^2, .., q^e
-            powers = [d * q for d in powers]
-            divisors += powers
-    for d in divisors:
-        p = d + 1
-        if sieve[p] if p < size else _is_prime(p):
+    _require_index(n, "n", 1)
+    two_n, sieve, out = 2 * n, _sieve(), 1
+    # a set, so the root of a square 2n gives its candidate once
+    divisors = (d for d in range(1, isqrt(two_n) + 1) if not two_n % d)
+    for p in {c for d in divisors for c in (d + 1, two_n // d + 1)}:
+        if sieve[p]:
             out *= p ** (1 + padic_valuation(n, p)) if n % p == 0 else p
     return out

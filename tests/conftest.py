@@ -1,3 +1,5 @@
+from functools import cache
+
 import pytest
 
 
@@ -35,5 +37,5 @@ def cold(monkeypatch, fresh_answers):
     from hclat import bernoulli, plumbing
 
     monkeypatch.setattr(bernoulli, "_ENGINE", bernoulli.SeidelEngine())
-    monkeypatch.setattr(bernoulli, "_PRIMES", bytearray(2))
+    monkeypatch.setattr(bernoulli, "_sieve", cache(bernoulli._sieve.__wrapped__))
     monkeypatch.setattr(plumbing, "_profiles", {})

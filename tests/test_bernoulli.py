@@ -2,10 +2,10 @@ import random
 import signal
 import sys
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from fractions import Fraction
+from functools import cache
 from itertools import islice
 from math import factorial
 
@@ -16,9 +16,8 @@ from hclat.bernoulli import (
     BernoulliRecord,
     SeidelEngine,
     _divmod_mersenne,
-    _factor,
-    _is_prime,
     _record,
+    _sieve,
     _tangents,
     bernoulli_abs,
     bernoulli_record,
@@ -105,60 +104,9 @@ class TestVscDenominator:
 
     def test_agrees_with_trial_division(self):
         rng = random.Random(24)
-        sample = [rng.randint(1, 10**7) for _ in range(200)]
-        for n in [*range(1, 3001), *sample, 10**9]:
+        sample = [rng.randint(1, INDEX_MAX) for _ in range(200)]
+        for n in [*range(1, 3001), *sample, INDEX_MAX]:
             assert vsc_denominator(n) == vsc_denominator_trial(n), n
-
-
-def _prime_below(x: int) -> int:
-    x -= 1 - x % 2
-    while not _is_prime(x):
-        x -= 2
-    return x
-
-
-# 2^31 - 1 and the prime below it: 2n = 2pq leaves pq near 2^62 past the sieve
-P31 = 2**31 - 1
-Q31 = _prime_below(P31)
-
-
-class TestFactoring:
-    @pytest.mark.parametrize(
-        "x",
-        [
-            2 * P31 * Q31,
-            2 * P31 * P31,  # a square cofactor
-            _prime_below(2**21) * _prime_below(2**21 - 100) * _prime_below(2**20),
-            2**63,
-            2 * 3**3 * 65521 * 65537,  # the sieve's last prime and the first past it
-            10**18,
-            2,
-        ],
-    )
-    def test_factors_multiply_back_and_are_prime(self, x):
-        sieve = bernoulli._prime_table(bernoulli._SIEVE_END - 1)
-        factors = _factor(x, sieve)
-        product = 1
-        for p, e in factors.items():
-            assert p < len(sieve) and sieve[p] or _is_prime(p), p
-            product *= p**e
-        assert product == x
-
-    @pytest.mark.parametrize("n", [(sys.maxsize + 1) // 2, P31 * Q31])
-    def test_near_the_bound_in_under_a_second(self, monkeypatch, n):
-        _fresh_table(monkeypatch)
-        start = time.perf_counter()
-        got = vsc_denominator(n)
-        assert time.perf_counter() - start < 1.0
-        if n == P31 * Q31:
-            # 2n = 2pq: the candidates d + 1 that can be prime are 2, 3, 2p+1, 2q+1, 2pq+1
-            expected = 6
-            for c in (2 * P31 + 1, 2 * Q31 + 1, 2 * n + 1):
-                expected *= c if _is_prime(c) else 1
-        else:
-            # 2n = 2^63: 2^63 for p = 2, and the Fermat primes 2^(2^i) + 1 below 2^63 + 1
-            expected = 2**63 * 3 * 5 * 17 * 257 * 65537
-        assert got == expected
 
 
 class TestIndexCeiling:
@@ -166,10 +114,11 @@ class TestIndexCeiling:
         "call,n",
         [
             (call, n)
-            for call in (tangent_number, bernoulli_record, bernoulli_abs, record_range)
+            for call in (
+                tangent_number, bernoulli_record, bernoulli_abs, record_range, vsc_denominator
+            )
             for n in (INDEX_MAX + 1, 10**12, 10**20)  # the least refused, and more
-        ]
-        + [(vsc_denominator, n) for n in ((sys.maxsize + 1) // 2 + 1, 10**20)],
+        ],
         ids=lambda x: getattr(x, "__name__", str(x)),
     )
     def test_refused_before_any_sweep_or_sieve(self, monkeypatch, call, n):
@@ -177,19 +126,18 @@ class TestIndexCeiling:
             raise AssertionError(f"started work toward n={n}")
 
         monkeypatch.setattr(bernoulli, "_tangents", unreachable)
-        monkeypatch.setattr(bernoulli, "_prime_table", unreachable)
+        monkeypatch.setattr(bernoulli, "_sieve", unreachable)
         name = "limit" if call is record_range else "n"
-        hi = (sys.maxsize + 1) // 2 if call is vsc_denominator else INDEX_MAX
         with pytest.raises(OverflowError) as info:
             call(n)
-        assert str(info.value) == f"{name} must be <= {hi}, got {n}"
+        assert str(info.value) == f"{name} must be <= {INDEX_MAX}, got {n}"
 
     def test_the_ceiling_covers_every_published_range(self):
         assert INDEX_MAX >= max(FULL_RANGES.values())
 
 
 def _fresh_table(monkeypatch):
-    monkeypatch.setattr(bernoulli, "_PRIMES", bytearray(2))
+    monkeypatch.setattr(bernoulli, "_sieve", cache(_sieve.__wrapped__))
 
 
 class TestPrimeTable:
@@ -200,61 +148,21 @@ class TestPrimeTable:
         descending = [vsc_denominator(n) for n in range(3000, 0, -1)]
         assert descending[::-1] == ascending
 
-    def test_sieve_stops_at_its_end(self, monkeypatch):
-        _fresh_table(monkeypatch)
-        n = 10**9
-        assert vsc_denominator(n) == vsc_denominator_trial(n)
-        assert len(bernoulli._PRIMES) == bernoulli._SIEVE_END
+    def test_table_matches_a_sieve(self):
+        sieve = _sieve()
+        assert len(sieve) == 2 * INDEX_MAX + 2
+        assert [p for p in range(len(sieve)) if sieve[p]] == primes_upto(2 * INDEX_MAX + 1)
 
-    def test_table_matches_a_sieve(self, monkeypatch):
-        _fresh_table(monkeypatch)
-        vsc_denominator(5000)
-        sieve = bernoulli._PRIMES
-        assert len(sieve) > 2 * 5000 + 1
-        primes = [p for p in range(len(sieve)) if sieve[p]]
-        assert primes == [p for p in range(2, len(sieve)) if all(p % q for q in range(2, p))]
-
-    def test_miller_rabin_agrees_with_a_sieve_past_the_table(self):
-        end = bernoulli._SIEVE_END
-        primes = set(primes_upto(4 * end))
-        assert [p for p in range(end, 4 * end) if _is_prime(p)] == sorted(primes - set(range(end)))
-
-    @pytest.mark.parametrize(
-        "p",
-        [
-            3215031751,  # strong pseudoprime to the bases 2, 3, 5, 7
-            3825123056546413051,  # to every prime base up to 23
-            318665857834031151167461,  # to every prime base up to 37: 41 is needed
-            (2**61 - 1) * (2**31 - 1),
-        ],
-    )
-    def test_miller_rabin_refuses_strong_pseudoprimes(self, p):
-        assert not _is_prime(p)
-
-    def test_miller_rabin_accepts_large_primes(self):
-        assert all(_is_prime(p) for p in (2**61 - 1, 2**89 - 1, 9223372036854775783))
-
-    def test_agrees_with_trial_division_past_the_sieve(self, monkeypatch):
-        # 2n highly composite, so most candidates d + 1 are past the sieve's end
-        _fresh_table(monkeypatch)
-        for n in (367567200, 551350800, 3491888400, 10**11 + 7):
+    def test_agrees_with_trial_division_at_highly_composite_n(self):
+        # 2n highly composite, so most candidates d + 1 are large
+        for n in (55440, 83160, 98280, INDEX_MAX):
             assert vsc_denominator(n) == vsc_denominator_trial(n), n
 
-    def test_each_rebuild_at_least_doubles_the_sieve(self, monkeypatch):
-        _fresh_table(monkeypatch)
-        lengths = [2]
-        for n in range(1, 20001):
-            vsc_denominator(n)
-            if len(bernoulli._PRIMES) != lengths[-1]:
-                lengths.append(len(bernoulli._PRIMES))
-        assert lengths[-1] > 2 * 20000 + 1
-        assert all(b >= 2 * a for a, b in zip(lengths, lengths[1:])), lengths
-
     def test_concurrent_first_calls_agree_with_the_oracle(self, monkeypatch):
-        # threads that each grow the table from a fresh one: every reader gets one whole
-        # sieve, whichever table wins the swap
+        # threads that each start from an empty memo: every reader gets one whole
+        # sieve, whichever call builds it
         _fresh_table(monkeypatch)
-        ns = [n for k in range(1, 9) for n in (10**k // 3, 7 * 10**k // 9)] * 3
+        ns = [n for k in range(1, 6) for n in (10**k // 3, 7 * 10**k // 9)] * 3
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:

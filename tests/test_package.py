@@ -87,10 +87,8 @@ def _work(*args):
     raise _Work
 
 
-# the ceilings that are not INDEX_MAX: vsc_denominator factors 2n in 63 bits, and the
-# answers in dimension 8k read profile(2k)
+# the ceilings that are not INDEX_MAX: the answers in dimension 8k read profile(2k)
 OWN_CEILINGS = {
-    "vsc_denominator": (sys.maxsize + 1) // 2,
     "s_of_Q_formulas": INDEX_MAX // 2,
     "p2k_solve": INDEX_MAX // 2,
 }
@@ -99,7 +97,7 @@ OWN_CEILINGS = {
 @pytest.mark.parametrize("fn,index,rest", INDEX_FUNCTIONS)
 def test_every_index_argument_has_one_ceiling(monkeypatch, cold, fn, index, rest):
     for mod, name in [
-        (bernoulli, "_tangents"), (bernoulli, "_prime_table"),
+        (bernoulli, "_tangents"), (bernoulli, "_sieve"),
         (plumbing, "factorial"), (genera, "factorial"),
     ]:
         monkeypatch.setattr(mod, name, _work)
@@ -174,6 +172,13 @@ COLD = ["hclat", "hclat.bernoulli", "hclat.cli", "hclat.exact"]
 )
 def test_each_use_loads_only_its_layers(code, loaded):
     assert _python(f"import sys\n{code}\n{LOADED}") == f"{loaded}\n"
+
+
+@pytest.mark.parametrize("code", ["import hclat.cli", "import hclat.bernoulli"])
+def test_import_builds_no_prime_table(code):
+    # the sieve is built on the first von Staudt-Clausen product, not at import
+    check = "from hclat.bernoulli import _sieve; print(_sieve.cache_info().currsize)"
+    assert _python(f"{code}\n{check}") == "0\n"
 
 
 def test_one_public_access_binds_the_whole_surface():
