@@ -7,7 +7,7 @@ from dataclasses import fields
 from fractions import Fraction
 from functools import cache
 from itertools import islice
-from math import factorial
+from math import factorial, isqrt
 
 import pytest
 
@@ -109,6 +109,35 @@ class TestVscDenominator:
             assert vsc_denominator(n) == vsc_denominator_trial(n), n
 
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 9, 50, 221])  # 2k + 1 prime, 2k^2 <= INDEX_MAX
+    def test_square_two_n_counts_its_root_once(self, k):
+        # n = 2k^2 makes 2n = (2k)^2, whose root 2k pairs with itself as a divisor and
+        # gives the prime candidate 2k + 1 from both sides of the pair
+        n = 2 * k * k
+        assert vsc_denominator(n) == vsc_denominator_sieve(n) == vsc_denominator_trial(n)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 6])
+    def test_the_cofactor_candidate_at_the_top_of_the_range(self, d):
+        # the largest n <= INDEX_MAX whose candidate 2n/d + 1 is prime: it lies near the
+        # sieve's end and comes only from the cofactor side of a divisor pair
+        def prime(p):
+            return all(p % q for q in range(2, isqrt(p) + 1))
+
+        n = next(n for n in range(INDEX_MAX, 0, -1) if not 2 * n % d and prime(2 * n // d + 1))
+        assert n > INDEX_MAX - 100
+        assert vsc_denominator(n) % (2 * n // d + 1) == 0
+        assert vsc_denominator(n) == vsc_denominator_trial(n)
+
+    @pytest.mark.parametrize("n", [0, -1, -(10**20)])
+    def test_below_one_refused_before_the_sieve(self, monkeypatch, n):
+        def unreachable(*args):
+            raise AssertionError(f"started work toward n={n}")
+
+        monkeypatch.setattr(bernoulli, "_sieve", unreachable)
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            vsc_denominator(n)
+
+
 class TestIndexCeiling:
     @pytest.mark.parametrize(
         "call,n",
@@ -152,6 +181,16 @@ class TestPrimeTable:
         sieve = _sieve()
         assert len(sieve) == 2 * INDEX_MAX + 2
         assert [p for p in range(len(sieve)) if sieve[p]] == primes_upto(2 * INDEX_MAX + 1)
+
+    def test_built_once_as_immutable_bytes(self, monkeypatch):
+        _fresh_table(monkeypatch)
+        assert bernoulli._sieve.cache_info().currsize == 0
+        vsc_denominator(1)
+        sieve = bernoulli._sieve()
+        assert type(sieve) is bytes
+        vsc_denominator(INDEX_MAX)
+        assert bernoulli._sieve() is sieve
+        assert bernoulli._sieve.cache_info().currsize == 1
 
     def test_agrees_with_trial_division_at_highly_composite_n(self):
         # 2n highly composite, so most candidates d + 1 are large
