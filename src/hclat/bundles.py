@@ -28,12 +28,12 @@ from .exact import BezoutPair, _require_index
 from .lattices import (
     InvariantVector,
     OrdParameter,
+    _basis,
     _ord_gate,
-    generator_invariants,
     minimal_ahat,
     minimal_signature,
 )
-from .plumbing import _answer, _bezout_terms, lambda_k, profile, require_bezout_for
+from .plumbing import _answer, _bezout_terms, lambda_k, profile
 
 __all__ = [
     "KappaExpression",
@@ -88,17 +88,14 @@ def _kappa_terms(
 ) -> list[tuple[int, int, int]]:
     """The kappa basis as rows ``(top num, half num, den)`` over one unreduced denominator."""
     if m == 1:
-        if bezout is not None:
-            require_bezout_for(m, bezout)
         return [(1, 0, 12)]
-    bezout = require_bezout_for(m, bezout)
     prof = profile(m)
     dm = prof.fact * prof.j
     if m % 2:
         return [(1, 0, 2 * dm)]
     k = m // 2
     pk = profile(k)
-    y, _ = _bezout_terms(k, bezout)
+    y, _ = _bezout_terms(k, bezout or prof.bezout)
     # 1/((4k-1)! j_2k) and -1/(2 (4k-1)! j_2k) - y / (2 (2k-1)!^2 j_k^2), over
     # 2 (4k-1)! j_2k j_k^2 since (2k-1)!^2 divides (4k-1)!; y carries the pair
     jk2 = pk.j**2
@@ -123,9 +120,10 @@ def kappa_basis(
 
     ``bezout`` picks the representative entering the mixed expression
     (canonical pair by default); any valid pair gives a basis of the same
-    lattice of functionals.  A pair is checked against ``m`` in every case.
-    The basis for the canonical pair (omitted or passed) is memoized per
-    ``(m, ord)``, about 7 KB at ``m = 600``; each call returns a new list.
+    lattice of functionals.  A pair is checked against ``m`` in every case,
+    once, where the answer memo is read.  The basis for the canonical pair
+    (omitted or passed) is memoized per ``(m, ord)``, about 7 KB at
+    ``m = 600``; each call returns a new list.
     """
     return list(_answer(_kappa_basis, _ord_gate, m, ord, bezout))
 
@@ -154,10 +152,10 @@ def pairing_matrix(
     The matrix for the canonical pair (omitted or passed) is memoized per
     ``(m, ord)``, about 0.6 KB, and is checked to
     be the identity on its first computation (RuntimeError otherwise); any
-    other pair is recomputed and checked on every call.  Each call returns
-    new lists.
+    other pair is checked once, where the answer memo is read, and recomputed
+    on every call.  Each call returns new lists.
     """
-    # gated at m >= 1: at m = 1 a bad pair is reported before generator_invariants' m >= 2
+    # gated at m >= 1: at m = 1 a bad pair is reported before the lattice's m >= 2
     return [list(row) for row in _answer(_pairing_matrix, _ord_gate, m, ord, bezout)]
 
 
@@ -165,7 +163,7 @@ def _pairing_matrix(
     m: int, ord: OrdParameter, bezout: BezoutPair | None, arg: None
 ) -> tuple[tuple[Fraction, ...], ...]:
     terms = _kappa_terms(m, ord, bezout)
-    basis = generator_invariants(m, ord, "signature_in_4Z", bezout)
+    basis = _basis(m, ord, bezout, "signature_in_4Z")
     rows = tuple(
         tuple(Fraction(tn * v.p_top + hn * v.p_half_sq, den) for _, v in basis.generators)
         for tn, hn, den in terms

@@ -52,10 +52,6 @@ class BezoutPair:
                 f"denom={self.for_denominator})"
             )
 
-    @property
-    def is_normalized(self) -> bool:
-        return 0 <= self.d < self.for_numerator
-
     def shifted(self, t: int) -> "BezoutPair":
         """The representative ``(c + t*denom, d - t*num)`` of the same pair."""
         return BezoutPair(

@@ -51,7 +51,6 @@ from .plumbing import (
     _bezout_terms,
     _index_from_1,
     profile,
-    require_bezout_for,
     sigma_over_a,
 )
 
@@ -189,7 +188,7 @@ def stolz_class_coeffs(m: int, bezout: BezoutPair | None = None) -> GenusCoeffic
     The coefficients for the canonical pair (omitted or passed) are memoized
     per m, about 4 KB at ``m = 600``, and the
     cancellation is asserted on their first computation; any other pair is
-    recomputed and checked on every call.
+    checked once, where the answer memo is read, and recomputed on every call.
     """
     return _answer(_stolz_class_coeffs, _index_from_1, m, 1, bezout)
 
@@ -197,8 +196,8 @@ def stolz_class_coeffs(m: int, bezout: BezoutPair | None = None) -> GenusCoeffic
 def _stolz_class_coeffs(
     m: int, ord: int, bezout: BezoutPair | None, arg: None
 ) -> GenusCoefficients:
-    bezout = require_bezout_for(m, bezout)
     prof = profile(m)
+    bezout = bezout or prof.bezout
     factor = sigma_over_a(m, prof.num4)
     # p_top over a_m (2m-1)! j_m: s_m from L, c shat_m from Ahat, and
     # (-1)^m d (Ahat ph)_m = -d/(2m-1)! in either parity

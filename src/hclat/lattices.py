@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .exact import BezoutPair, _require_index, gcd_with_square, nu2
-from .plumbing import _answer, _bezout_terms, lambda_k, profile, require_bezout_for
+from .plumbing import _answer, _bezout_terms, lambda_k, profile
 
 __all__ = [
     "VARIANTS",
@@ -181,10 +181,11 @@ def generator_invariants(
     ``bezout`` selects the representative used in the second generator;
     default is the canonical normalized pair.  Different representatives
     give different generators of the same lattice.  A pair is checked
-    against ``m`` in every case.  The basis for the canonical pair (omitted or
-    passed) is memoized per (variant, m, ord), about 14 KB at ``m = 600`` for the
-    full one, which is checked integral on its first computation and from which
-    the kept ``signature_in_4Z`` basis is derived.
+    against ``m`` in every case, once, where the answer memo is read.  The
+    basis for the canonical pair (omitted or passed) is memoized per (variant,
+    m, ord), about 14 KB at ``m = 600`` for the full one, which is checked
+    integral on its first computation and from which the kept
+    ``signature_in_4Z`` basis is derived.
     """
     return _answer(_generator_invariants, _variant_gate, m, ord, bezout, variant)
 
@@ -196,19 +197,25 @@ def _variant_gate(m: int, ord: OrdParameter | int, variant: str) -> OrdParameter
     return _as_ord(ord, m)
 
 
+def _basis(m: int, ord: OrdParameter, bezout: BezoutPair | None, variant: str) -> LatticeBasis:
+    """The basis for a checked pair, not checked again; the kept one for ``None``."""
+    if bezout is None:
+        return generator_invariants(m, ord, variant)
+    return _generator_invariants(m, _variant_gate(m, ord, variant), bezout, variant)
+
+
 def _generator_invariants(
     m: int, ord: OrdParameter, bezout: BezoutPair | None, variant: str
 ) -> LatticeBasis:
     if variant != "full_kernel":
         # the full basis (the kept one for the canonical pair) with its second generator
         # scaled by lambda_k^2: 4 at k = 1, 2, and the very same generators elsewhere
-        gens = generator_invariants(m, ord, "full_kernel", bezout).generators
+        gens = _basis(m, ord, bezout, "full_kernel").generators
         if m in (2, 4):
             g1, (label, g2) = gens
             gens = (g1, (f"4*{label}", InvariantVector(*(4 * a for a in g2.as_tuple()))))
         return LatticeBasis(m, ord, variant, gens)
 
-    bezout = require_bezout_for(m, bezout)
     prof = profile(m)
     if m % 2:
         vec = InvariantVector(
@@ -225,7 +232,7 @@ def _generator_invariants(
 
     # the weight is wn / wd; y and x carry the Bezout pair (plumbing._bezout_terms)
     wn, wd = ord.value * pk.a**2, lambda_k(k)
-    y, x = _bezout_terms(k, bezout)
+    y, x = _bezout_terms(k, bezout or prof.bezout)
     jk2, fk2 = pk.j**2, pk.fact**2
     t2 = prof.num4 * jk2
     g2 = InvariantVector(

@@ -17,12 +17,12 @@ Next to the profiles sits one memo of checked answers, shared by ``s_of_Q``,
 ``genus_coeffs`` (per genus), ``stolz_class_coeffs``, ``generator_invariants`` (per
 variant), ``minimal_signature``, ``kappa_basis``, ``divisibility_report`` and
 ``pairing_matrix``: each answer is computed, and cross-checked, once per ``(m, ord)``
-for the canonical Bezout pair; any other pair is recomputed and checked on every
-call.  A call is answered from the memo before any argument check when ``m`` and
-``ord`` are ints (not bools) and its pair is omitted or the kept profile's own:
-an entry is stored under its function, ``m``, ``ord`` and genus or variant only
-after those exact arguments passed every check, so a hit is a valid call and no
-other input reaches it.  The identity scan drops m's answers once m is checked.
+for the canonical Bezout pair; any other pair is checked, here and nowhere else, and
+recomputed on every call.  A call is answered from the memo before any argument check
+when ``m`` and ``ord`` are ints (not bools) and its pair is omitted or the kept
+profile's own: an entry is stored under its function, ``m``, ``ord`` and genus or
+variant only after those exact arguments passed every check, so a hit is a valid call
+and no other input reaches it.  The identity scan drops m's answers once m is checked.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from math import factorial
 from typing import Any, TypeVar
 
 from .bernoulli import bernoulli_record, tangent_number
-from .exact import INDEX_MAX, BezoutPair, _require_index, normalize_bezout
+from .exact import BezoutPair, _require_index, normalize_bezout
 
 __all__ = [
     "DimensionProfile",
@@ -43,7 +43,6 @@ __all__ = [
     "bp_order",
     "pk2_of_Q",
     "s_of_Q",
-    "s_of_Q_formulas",
     "stolz_s",
     "lambda_k",
     "a_m",
@@ -137,7 +136,8 @@ def _answer(
     canonical pair and read back from the raw arguments by the rule of the module docstring.
     On a miss, ``gate(m, ord, arg)`` checks the arguments and returns the checked ord (an
     ``OrdParameter``, or the 1 of an answer that takes none); then any pair but the canonical
-    one goes to ``compute``, which checks it, on every call.  A raise keeps nothing.  The
+    one is checked here, the one check of a given pair, and goes to ``compute`` on every
+    call; ``compute`` reads ``None`` as the canonical pair.  A raise keeps nothing.  The
     twelve answers at one ``(m, ord)`` take about 14 KB at ``m = 60`` and 62 KB at ``m = 600``.
     """
     if type(m) is int and type(ord) is int and (
@@ -153,7 +153,7 @@ def _answer(
     if bezout is not None:
         canonical = profile(m).bezout
         if bezout is not canonical and bezout != canonical:
-            return compute(m, ord, bezout, arg)
+            return compute(m, ord, require_bezout_for(m, bezout), arg)
     key = (compute, m, getattr(ord, "value", ord), arg)
     out = _answers.get(key)
     if out is None:
@@ -184,7 +184,7 @@ def canonical_bezout(m: int) -> BezoutPair:
 
 def require_bezout_for(m: int, bezout: BezoutPair | None = None) -> BezoutPair:
     """``bezout`` (the canonical pair when None); ValueError unless it is a
-    ``BezoutPair`` for the reduced ``|B_{2m}|/4m``."""
+    ``BezoutPair`` for the reduced ``|B_{2m}|/4m``.  Only ``_answer`` calls it here."""
     prof = profile(m)
     if bezout is None:
         return prof.bezout
@@ -233,38 +233,6 @@ def _bezout_terms(k: int, bezout: BezoutPair) -> tuple[int, int]:
     return y, x
 
 
-def _s_of_Q_terms(k: int, bezout: BezoutPair | None) -> tuple[int, int, int, int]:
-    """``(n1, d1, n2, d2)``: the two formulas for ``s(Q)`` as ``n1/d1`` and ``n2/d2``, unreduced."""
-    bezout = require_bezout_for(2 * k, bezout)
-    pk = profile(k)
-    p2k = profile(2 * k)
-    y, x = _bezout_terms(k, bezout)
-    lam2 = lambda_k(k) ** 2
-    jk2 = pk.j**2
-    t2 = p2k.num4 * jk2
-    return (
-        # -(lam^2 / 8 j_k^2)(sigma_k^2 + a_k^2 sigma_2k y)
-        -lam2 * (pk.sigma**2 + pk.a**2 * p2k.sigma * y),
-        8 * jk2,
-        # (lam^2 a_k^2 / 4)(sigma_2k x / (2 num4_2k j_k^2) - T_k^2 / 4)
-        lam2 * pk.a**2 * (2 * p2k.sigma * x - pk.tangent**2 * t2),
-        16 * t2,
-    )
-
-
-def s_of_Q_formulas(k: int, bezout: BezoutPair | None = None) -> tuple[Fraction, Fraction]:
-    """Both closed formulas for the splitting invariant of Q in dimension 8k.
-
-    The first goes through ``sigma_k^2`` and the Bezout pair (checked, and the
-    canonical one when omitted), the second through ``T_k`` and ``|B_{2k}|/|B_{4k}|``.
-    Either one, for a valid pair, is an integer, but that is not assumed
-    here; the raw fractions are returned for cross-checking.
-    """
-    _require_index(k, "k", 1, INDEX_MAX // 2)  # m = 2k is under the ceiling too
-    n1, d1, n2, d2 = _s_of_Q_terms(k, bezout)
-    return Fraction(n1, d1), Fraction(n2, d2)
-
-
 def s_of_Q(m: int, bezout: BezoutPair | None = None) -> int:
     """The splitting invariant of Q in dimension ``4m``.
 
@@ -285,11 +253,17 @@ def s_of_Q(m: int, bezout: BezoutPair | None = None) -> int:
 
 def _s_of_Q(m: int, ord: int, bezout: BezoutPair | None, arg: None) -> int:
     if m % 2:
-        if bezout is not None:
-            require_bezout_for(m, bezout)
         return 0
     k = m // 2
-    n1, d1, n2, d2 = _s_of_Q_terms(k, bezout)
+    pk, p2k = profile(k), profile(m)
+    y, x = _bezout_terms(k, bezout or p2k.bezout)
+    lam2 = lambda_k(k) ** 2
+    jk2 = pk.j**2
+    t2 = p2k.num4 * jk2
+    # -(lam^2 / 8 j_k^2)(sigma_k^2 + a_k^2 sigma_2k y)
+    n1, d1 = -lam2 * (pk.sigma**2 + pk.a**2 * p2k.sigma * y), 8 * jk2
+    # (lam^2 a_k^2 / 4)(sigma_2k x / (2 num4_2k j_k^2) - T_k^2 / 4)
+    n2, d2 = lam2 * pk.a**2 * (2 * p2k.sigma * x - pk.tangent**2 * t2), 16 * t2
     if n1 * d2 != n2 * d1:
         raise RuntimeError(
             f"the two formulas for s(Q) disagree at k={k}: "

@@ -9,6 +9,7 @@ from math import gcd
 
 import pytest
 
+import oracles
 from hclat.bernoulli import bernoulli_abs, record_range, vsc_denominator
 from hclat.bundles import (
     bundle_signature_divisor,
@@ -19,7 +20,7 @@ from hclat.bundles import (
 from hclat.exact import nu2
 from hclat.genera import s, shat
 from hclat.lattices import generator_invariants, lattice_span_equal, minimal_ahat
-from hclat.plumbing import bp_order, canonical_bezout, profile, s_of_Q, s_of_Q_formulas
+from hclat.plumbing import bp_order, canonical_bezout, profile, s_of_Q
 from hclat.verify import verify_gcd_power_of_two, verify_numerator_coprimality
 
 
@@ -50,7 +51,7 @@ def test_criterion_01_quaternionic_projective_plane():
 def test_criterion_02_splitting_invariant_small_k():
     budget = _Budget(1.0)
     for k in (1, 2):
-        first, second = s_of_Q_formulas(k, canonical_bezout(2 * k))
+        first, second = oracles.s_of_Q_formulas(k, canonical_bezout(2 * k))
         assert first == -1
         assert second == -1
         assert s_of_Q(2 * k) == -1
@@ -60,9 +61,10 @@ def test_criterion_02_splitting_invariant_small_k():
 def test_criterion_03_formula_agreement_up_to_200():
     budget = _Budget(300.0)
     for k in range(1, 201):
-        first, second = s_of_Q_formulas(k, canonical_bezout(2 * k))
+        first, second = oracles.s_of_Q_formulas(k, canonical_bezout(2 * k))
         assert first == second
         assert first.denominator == 1
+        assert s_of_Q(2 * k) == first.numerator
     _report(3, "both s(Q) formulas agree on an integer for all k <= 200", budget.check())
 
 

@@ -61,7 +61,7 @@ class TestNormalizeBezout:
         pair = normalize_bezout(691, 65520)
         assert 0 <= pair.d < 691
         assert pair.c * 691 + pair.d * 65520 == 1
-        assert pair.is_normalized
+        assert 0 <= pair.d < pair.for_numerator
 
     def test_non_coprime_rejected(self):
         with pytest.raises(ValueError):

@@ -20,7 +20,6 @@ from hclat.plumbing import (
     profile,
     require_bezout_for,
     s_of_Q,
-    s_of_Q_formulas,
     stolz_s,
 )
 
@@ -63,7 +62,7 @@ class TestProfile:
     def test_canonical_bezout_is_the_profile_pair(self, m):
         prof = profile(m)
         assert canonical_bezout(m) is prof.bezout
-        assert prof.bezout.is_normalized
+        assert 0 <= prof.bezout.d < prof.bezout.for_numerator
         assert (prof.bezout.for_numerator, prof.bezout.for_denominator) == (prof.num4, prof.j)
 
     def test_nu2_law_up_to_300(self):
@@ -166,7 +165,7 @@ class TestSofQ:
 
     def test_both_formulas_equal_minus_one_independently(self):
         for k in (1, 2):
-            first, second = s_of_Q_formulas(k, canonical_bezout(2 * k))
+            first, second = oracles.s_of_Q_formulas(k, canonical_bezout(2 * k))
             assert first == second == -1
 
     def test_vanishes_for_odd_m(self):
@@ -174,7 +173,7 @@ class TestSofQ:
             assert s_of_Q(m) == 0
 
     def test_dimension_24_integral(self):
-        first, second = s_of_Q_formulas(3, canonical_bezout(6))
+        first, second = oracles.s_of_Q_formulas(3, canonical_bezout(6))
         assert first == second
         assert first.denominator == 1
         assert s_of_Q(6) == first.numerator
@@ -214,7 +213,9 @@ class TestSofQ:
 
     def test_formulas_default_to_the_canonical_pair(self):
         for k in (1, 3, 10):
-            assert s_of_Q_formulas(k) == s_of_Q_formulas(k, canonical_bezout(2 * k))
+            first, _ = oracles.s_of_Q_formulas(k, canonical_bezout(2 * k))
+            assert oracles.s_of_Q_formulas(k) == oracles.s_of_Q_formulas(k, canonical_bezout(2 * k))
+            assert s_of_Q(2 * k) == first == s_of_Q(2 * k, canonical_bezout(2 * k))
 
     def test_pair_is_checked_once(self, monkeypatch, fresh_answers):
         calls = []
@@ -224,10 +225,10 @@ class TestSofQ:
             return require_bezout_for(m, bezout)
 
         monkeypatch.setattr(plumbing, "require_bezout_for", counting)
-        for pair in (None, canonical_bezout(6).shifted(1)):
+        for pair, checked in ((None, []), (canonical_bezout(6).shifted(1), [6])):
             calls.clear()
             s_of_Q(6, pair)
-            assert calls == [6]
+            assert calls == checked
 
     def test_disagreeing_formulas_raise(self, monkeypatch, fresh_answers):
         # T_3 enters only the second formula
@@ -240,10 +241,6 @@ class TestSofQ:
         for m in range(1, 301):
             for pair in [None] + [canonical_bezout(m).shifted(t) for t in range(-2, 3)]:
                 assert oracles.outcome(s_of_Q, m, pair) == oracles.outcome(oracles.s_of_Q, m, pair)
-                if m % 2 == 0:
-                    assert oracles.outcome(s_of_Q_formulas, m // 2, pair) == oracles.outcome(
-                        oracles.s_of_Q_formulas, m // 2, pair
-                    )
 
     def test_wrong_pair_message_is_the_check_message(self):
         with pytest.raises(ValueError) as expected:
