@@ -210,6 +210,31 @@ WITH_PAIR = [
 ]
 
 
+# the m = 1 and odd-m branches read no pair; only these two answers start at m = 1
+FROM_1 = ("stolz_class_coeffs", "kappa_basis")
+
+
+@pytest.mark.parametrize("fn,m", [
+    pytest.param(fn, m, id=f"{m}-{name}")
+    for m in (1, 2, 3, 6) for name, fn in WITH_PAIR if m > 1 or name in FROM_1
+])
+def test_each_pair_argument_is_checked_once_cold_and_warm(monkeypatch, cold, fn, m):
+    calls = []
+
+    def counting(n, bezout=None):
+        calls.append(n)
+        return require_bezout_for(n, bezout)
+
+    monkeypatch.setattr(plumbing, "require_bezout_for", counting)
+    pair = canonical_bezout(m)
+    copy = BezoutPair(pair.c, pair.d, pair.for_numerator, pair.for_denominator)
+    for _ in range(2):  # cold, then warm
+        for given, checked in ((None, []), (pair, []), (copy, []), (pair.shifted(1), [m])):
+            calls.clear()
+            fn(m, given)
+            assert calls == checked
+
+
 @pytest.mark.parametrize("fn", [f for _, f in WITH_PAIR], ids=[n for n, _ in WITH_PAIR])
 @pytest.mark.parametrize("m,other", [(6, 4), (3, 4), (12, 2)])
 def test_invalid_pair_raises_cold_and_warm(monkeypatch, fn, m, other):
