@@ -71,7 +71,7 @@ def sigma_over_a(m: int, num4: int = 1) -> int:
     With the default ``num4 = 1`` this is the bare power-of-two factor.
     """
     _require_index(m, "m", 1)
-    return (1 << (2 * m + 1)) * ((1 << (2 * m - 1)) - 1) * num4
+    return (num4 << (4 * m)) - (num4 << (2 * m + 1))
 
 
 def sigma_m(m: int, num4: int) -> int:
@@ -89,7 +89,7 @@ class DimensionProfile:
     positive signature of an almost parallelizable ``4m``-manifold,
     ``num4 / j`` is the reduced ``|B_{2m}|/4m``, ``bezout`` is the
     canonical (normalized) Bezout pair ``c num4 + d j = 1`` for it,
-    ``fact = (2m-1)!`` and ``tangent = T_m`` (the engine's memoized int).
+    ``fact = (2m-1)!`` and ``tangent = T_m`` (the int kept in the point-query memo).
     ``genera``, ``lattices`` and ``bundles`` read Bernoulli data only from here.
     """
 

@@ -38,9 +38,10 @@ module only; the identity suite's per-index check imports ``genera``,
 so no other scan or query loads ``multiprocessing`` and the modules it pulls
 in.  No report content depends on ``workers``.  Checkpoints persist the
 scan cursor and the counterexamples found so far, not Bernoulli data, every
-50 checked indices and on exit; a resumed run recomputes the (cheap relative
-to disk) stream from T_1 if an index is left past its cursor, else nothing,
-and skips the check work done.
+50 checked indices and on exit; a resumed run recomputes the stream from T_1
+if an index is left past its cursor, else nothing, and skips the check work
+done.  The stream's whole state is one diagonal, 3.4 MB at n = 2678, but the
+re-sweep to the cursor takes about 28 s at M = 4000 (ROADMAP item 21).
 """
 
 from __future__ import annotations
@@ -487,7 +488,7 @@ def _check_identities(payload: tuple[int]) -> tuple[int, list[dict]]:
 
 def _identity_payloads(m_max: int, cursor: int = 0) -> Iterator[tuple[int]]:
     """Yield (m,) for 2 <= m <= m_max past ``cursor``, once T_1..T_{m_max} are in the
-    engine's memo; a finished scan sweeps nothing."""
+    point-query memo; a finished scan sweeps nothing."""
     if cursor < m_max:
         tangent_number(m_max)  # one strip, not one per index as each m's first profile sweeps
     for m in range(max(cursor + 1, 2), m_max + 1):

@@ -31,11 +31,20 @@ def fresh_answers(monkeypatch):
 
 
 @pytest.fixture
-def cold(monkeypatch, fresh_answers):
-    """Every process-wide memo empty, as in a new interpreter: the tangent engine,
+def fresh_memo(monkeypatch):
+    """An empty point-query memo: no tangent number and no record is kept, so the
+    next query sweeps from column 0."""
+    from hclat import bernoulli
+
+    monkeypatch.setattr(bernoulli, "_memo", ([], [0]))
+    monkeypatch.setattr(bernoulli, "_records", {})
+
+
+@pytest.fixture
+def cold(monkeypatch, fresh_memo, fresh_answers):
+    """Every process-wide memo empty, as in a new interpreter: the tangent memo,
     the prime table, the profiles and the checked answers."""
     from hclat import bernoulli, plumbing
 
-    monkeypatch.setattr(bernoulli, "_ENGINE", bernoulli.SeidelEngine())
     monkeypatch.setattr(bernoulli, "_sieve", cache(bernoulli._sieve.__wrapped__))
     monkeypatch.setattr(plumbing, "_profiles", {})

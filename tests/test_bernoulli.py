@@ -11,10 +11,10 @@ from math import factorial, isqrt
 
 import pytest
 
-from hclat import bernoulli
+import hclat
+from hclat import bernoulli, plumbing
 from hclat.bernoulli import (
     BernoulliRecord,
-    SeidelEngine,
     _divmod_mersenne,
     _record,
     _sieve,
@@ -41,9 +41,9 @@ from oracles import (
 )
 
 
-def _read(engine: SeidelEngine, limit: int) -> list[int]:
-    """``T_1 .. T_limit`` read from ``engine`` one index at a time."""
-    return [engine.tangent(n) for n in range(1, limit + 1)]
+def _read(limit: int) -> list[int]:
+    """``T_1 .. T_limit`` read from the point-query memo one index at a time."""
+    return [tangent_number(n) for n in range(1, limit + 1)]
 
 
 class TestTangentNumbers:
@@ -54,11 +54,11 @@ class TestTangentNumbers:
         assert tangent_number(3) == tangent_oracle(3) == 16
         assert tangent_number(5) == tangent_oracle(5) == 7936
 
-    def test_sequence_against_oracle(self):
-        assert _read(SeidelEngine(), 30) == [tangent_oracle(n) for n in range(1, 31)]
+    def test_sequence_against_oracle(self, fresh_memo):
+        assert _read(30) == [tangent_oracle(n) for n in range(1, 31)]
 
-    def test_even_from_index_two(self):
-        for n, t in enumerate(_read(SeidelEngine(), 500), start=1):
+    def test_even_from_index_two(self, fresh_memo):
+        for n, t in enumerate(_read(500), start=1):
             if n >= 2:
                 assert t % 2 == 0
 
@@ -251,41 +251,41 @@ class TestRecords:
 
 
 class TestEngineAgainstSeidelTriangle:
-    def test_fresh_engine_matches_triangle_to_600(self):
-        assert _read(SeidelEngine(), 600) == seidel_tangents(600)
+    def test_fresh_engine_matches_triangle_to_600(self, fresh_memo):
+        assert _read(600) == seidel_tangents(600)
 
-    def test_extending_in_steps_matches_one_call(self):
-        stepped = SeidelEngine()
+    def test_extending_in_steps_matches_one_call(self, monkeypatch, fresh_memo):
         for n in (1, 2, 17, 300, 301, 600):
-            stepped.tangent(n)
-        assert _read(stepped, 600) == _read(SeidelEngine(), 600)
+            tangent_number(n)
+        stepped = bernoulli._memo
+        monkeypatch.setattr(bernoulli, "_memo", ([], [0]))
+        tangent_number(600)
+        assert bernoulli._memo == stepped and len(stepped[1]) == 601
 
-    def test_records_match_full_fraction_reduction(self):
-        engine = SeidelEngine()
+    def test_records_match_full_fraction_reduction(self, fresh_memo):
         for n, t in enumerate(seidel_tangents(300), start=1):
             ratio4 = Fraction(t, (1 << (2 * n + 1)) * ((1 << (2 * n)) - 1))
-            rec = engine.record(n)
+            rec = bernoulli_record(n)
             assert (rec.num4, rec.j) == (ratio4.numerator, ratio4.denominator)
             assert rec.abs_value == ratio4 * (4 * n)
 
-    def test_interrupted_extension_leaves_later_values_exact(self):
-        engine = SeidelEngine()
+    def test_interrupted_extension_leaves_later_values_exact(self, fresh_memo):
         previous = signal.signal(signal.SIGALRM, signal.default_int_handler)
         try:
             # T_3000 takes many seconds, so the alarm lands inside its strip
             signal.setitimer(signal.ITIMER_REAL, 0.2)
             with pytest.raises(KeyboardInterrupt):
-                engine.tangent(3000)
+                tangent_number(3000)
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
         # the one strip to 3000 never finished, so the memo is still the empty one
-        assert engine._memo == ([], [0])
-        assert _read(engine, 20) == _read(SeidelEngine(), 20)
+        assert bernoulli._memo == ([], [0])
+        assert _read(20) == seidel_tangents(20)
 
     @pytest.mark.long
-    def test_fresh_engine_matches_triangle_to_3000(self):
-        assert _read(SeidelEngine(), 3000) == seidel_tangents(3000)
+    def test_fresh_engine_matches_triangle_to_3000(self, fresh_memo):
+        assert _read(3000) == seidel_tangents(3000)
 
 
 class TestScaledColumns:
@@ -293,19 +293,19 @@ class TestScaledColumns:
         assert list(_tangents(1000)) == brent_harvey_tangents(1000)
 
     @pytest.mark.long
-    def test_fresh_engine_matches_unscaled_recurrence_to_4000(self):
+    def test_fresh_engine_matches_unscaled_recurrence_to_4000(self, fresh_memo):
         # past the triangle's 3000, so the overlap with an independent kernel goes on;
         # the bounded sweep is held to the same kernel
         expected = brent_harvey_tangents(4000)
-        assert _read(SeidelEngine(), 4000) == expected
+        assert _read(4000) == expected
         assert list(_tangents(4000)) == expected
 
 
 class TestDiagonalSweep:
     @pytest.mark.parametrize("limit", [*range(65), 1000])
-    def test_sweep_matches_the_engine(self, limit):
+    def test_sweep_matches_the_engine(self, fresh_memo, limit):
         # small limits cover every clip edge of the triangle and the first dropped entry
-        assert list(_tangents(limit)) == _read(SeidelEngine(), limit)
+        assert list(_tangents(limit)) == _read(limit)
 
     def test_sweep_holds_one_short_diagonal_and_keeps_no_column(self):
         limit = 600
@@ -343,7 +343,7 @@ class _InterruptOnFirstAdd(int):
 
 
 def _log_strips(monkeypatch) -> list[tuple[int, int]]:
-    """Make the engine sweep through a wrapper of ``_tangents``; returns its
+    """Make the point-query memo sweep through a wrapper of ``_tangents``; returns its
     ``(L, limit)`` log, one entry per strip."""
     calls = []
 
@@ -383,31 +383,31 @@ class TestStripMemo:
     def test_chained_strips_of_random_widths_match_the_oracle_to_3000(self):
         _assert_chained_strips(3000, 0)
 
-    def test_interrupt_mid_strip_resumes_from_the_last_whole_strip(self, monkeypatch):
-        engine = SeidelEngine()
-        engine.tangent(50)
-        memo = engine._memo
+    def test_interrupt_mid_strip_resumes_from_the_last_whole_strip(self, monkeypatch, fresh_memo):
+        tangent_number(50)
+        memo = bernoulli._memo
         whole = (memo[0].copy(), memo[1].copy())
         _InterruptOnFirstAdd.fired = False
         memo[0][25] = _InterruptOnFirstAdd(whole[0][25])
         with pytest.raises(KeyboardInterrupt):
-            engine.tangent(80)
-        # the strip ran on a copy: the engine still holds column 50 and T_1..T_50
+            tangent_number(80)
+        # the strip ran on a copy: the memo still holds column 50 and T_1..T_50
         assert _InterruptOnFirstAdd.fired
-        assert engine._memo is memo and memo == whole
+        assert bernoulli._memo is memo and memo == whole
         calls = _log_strips(monkeypatch)
-        assert engine.tangent(90) == brent_harvey_tangents(90)[-1]
+        assert tangent_number(90) == brent_harvey_tangents(90)[-1]
         # one strip, from column 50 on: nothing is replayed from column 0
         assert calls == [(50, 90)]
-        assert _read(engine, 90) == brent_harvey_tangents(90)
+        assert _read(90) == brent_harvey_tangents(90)
 
     @pytest.mark.parametrize("after", [0, 1, 17, 30, None])
-    def test_interrupt_between_yields_keeps_the_last_whole_strip(self, monkeypatch, after):
+    def test_interrupt_between_yields_keeps_the_last_whole_strip(
+        self, monkeypatch, fresh_memo, after
+    ):
         # 30 is past the strip's last T, before its column is replaced; None lets the
         # sweep end, so the copy already holds column 80 when the interrupt lands
-        engine = SeidelEngine()
-        engine.tangent(50)
-        memo = engine._memo
+        tangent_number(50)
+        memo = bernoulli._memo
         whole = (memo[0].copy(), memo[1].copy())
 
         def interrupted(limit, column=None):
@@ -416,22 +416,21 @@ class TestStripMemo:
 
         monkeypatch.setattr(bernoulli, "_tangents", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            engine.tangent(80)
-        assert engine._memo is memo and memo == whole
+            tangent_number(80)
+        assert bernoulli._memo is memo and memo == whole
         calls = _log_strips(monkeypatch)
-        assert _read(engine, 80) == brent_harvey_tangents(80)
+        assert _read(80) == brent_harvey_tangents(80)
         assert calls[0] == (50, 51)
 
-    def test_threads_switching_mid_strip_sweep_each_index_once(self, monkeypatch):
+    def test_threads_switching_mid_strip_sweep_each_index_once(self, monkeypatch, fresh_memo):
         expected = brent_harvey_tangents(200)
-        engine = SeidelEngine()
         calls = _log_strips(monkeypatch)
         start = threading.Barrier(8)
 
         def walk(_):
             start.wait(timeout=60)
             # every thread asks for every new index, so each strip is contended
-            return [engine.tangent(n) for n in range(1, 201)]
+            return _read(200)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -445,8 +444,20 @@ class TestStripMemo:
         # each strip starts where the last ended: no index was swept twice or skipped
         assert [a for a, _ in calls] == [0, *(b for _, b in calls[:-1])]
         assert calls[-1][1] == 200
-        column, tangents = engine._memo
+        column, tangents = bernoulli._memo
         assert len(column) == 200 and tangents == [0, *expected]
+
+    def test_point_queries_share_one_memo(self, monkeypatch, cold):
+        calls = _log_strips(monkeypatch)
+        t = tangent_number(40)
+        assert calls == [(0, 40)]
+        rec = bernoulli_record(40)
+        assert bernoulli_abs(40) == rec.abs_value
+        assert plumbing.profile(40).tangent is t
+        # the record, |B_80| and the profile all read T_40 from the one memo
+        assert calls == [(0, 40)]
+        assert bernoulli_record(40) is rec and bernoulli._records == {40: rec}
+        assert not hasattr(hclat, "SeidelEngine") and "SeidelEngine" not in hclat.__all__
 
 
 def _assert_records_match_gcd_reduction(limit):
@@ -488,13 +499,11 @@ class TestCertifiedRecords:
                 assert _divmod_mersenne(x, bits) == divmod(x, d), (bits, size)
 
 
-def test_engine_is_consistent_under_threads():
-    engine = SeidelEngine()
-    serial = SeidelEngine()
-    expected = {n: serial.record(n) for n in range(1, 81)}
+def test_engine_is_consistent_under_threads(fresh_memo):
+    expected = {rec.n: rec for rec in record_range(80)}
     order = list(range(1, 81)) * 4
     random.Random(5).shuffle(order)
     with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(engine.record, order))
+        results = list(pool.map(bernoulli_record, order))
     for n, rec in zip(order, results):
         assert rec == expected[n]

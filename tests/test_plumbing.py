@@ -70,6 +70,14 @@ class TestProfile:
             prof = profile(m)
             assert nu2(prof.sigma) == 2 * m + 1 + nu2(prof.a)
 
+    def test_sigma_over_a_is_the_product_form(self):
+        # two shifts of num4 stand for the product 2^{2m+1}(2^{2m-1}-1) num4
+        for m in range(1, 401):
+            for num4 in (1, profile(m).num4):
+                product = (1 << (2 * m + 1)) * ((1 << (2 * m - 1)) - 1) * num4
+                assert plumbing.sigma_over_a(m, num4) == product, (m, num4)
+            assert plumbing.sigma_over_a(m) == plumbing.sigma_over_a(m, 1)
+
     def test_sigma_1_valuation(self):
         assert nu2(profile(1).sigma) == 4
 

@@ -140,7 +140,8 @@ class TestIdentitySuite:
         assert strips == [(0, 60)]  # not one strip per index, from T_2 on
         # cold again: the pool's workers, forked at its first submit, inherit the swept memo
         # (a worker started by spawn or forkserver runs an unpatched sweep of its own)
-        monkeypatch.setattr(bernoulli, "_ENGINE", bernoulli.SeidelEngine())
+        monkeypatch.setattr(bernoulli, "_memo", ([], [0]))
+        monkeypatch.setattr(bernoulli, "_records", {})
         monkeypatch.setattr(plumbing, "_profiles", {})
         monkeypatch.setattr(plumbing, "_answers", {})
         parallel = verify_identity_suite(60, workers=2)
@@ -383,7 +384,8 @@ class TestReportMechanics:
     def test_resumed_finished_scan_sweeps_nothing(self, monkeypatch, tmp_path, cold, claim, m_max):
         ckpt = tmp_path / "scan.json"
         first = verify.CLAIMS[claim](m_max, checkpoint_path=ckpt)
-        monkeypatch.setattr(bernoulli, "_ENGINE", bernoulli.SeidelEngine())
+        monkeypatch.setattr(bernoulli, "_memo", ([], [0]))
+        monkeypatch.setattr(bernoulli, "_records", {})
         monkeypatch.setattr(bernoulli, "_tangents", None)  # calling it would raise
         again = verify.CLAIMS[claim](m_max, checkpoint_path=ckpt)
         assert again.to_json(include_wall_time=False) == first.to_json(include_wall_time=False)
@@ -422,15 +424,14 @@ def test_identity_suite_to_1000():
     assert report.counterexamples == []
 
 
-def test_scans_leave_the_engine_memo_alone(monkeypatch, capsys):
-    engine = bernoulli.SeidelEngine()
-    monkeypatch.setattr(bernoulli, "_ENGINE", engine)
+def test_scans_leave_the_engine_memo_alone(capsys, fresh_memo):
+    memo, records = bernoulli._memo, bernoulli._records
     assert verify_gcd_power_of_two(200).status == "verified"
     assert verify_numerator_coprimality(200, workers=2).status == "verified"
     assert main(["bernoulli", "--n", "50", "--range"]) == 0
     assert len(json.loads(capsys.readouterr().out)) == 50
-    assert engine._memo == ([], [0])
-    assert engine._records == {}
+    assert bernoulli._memo is memo and memo == ([], [0])
+    assert bernoulli._records is records and records == {}
 
 
 class TestPrefixStream:
