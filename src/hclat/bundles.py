@@ -27,7 +27,6 @@ from fractions import Fraction
 from .exact import BezoutPair, _require_index
 from .lattices import (
     InvariantVector,
-    OrdParameter,
     _basis,
     _ord_gate,
     minimal_ahat,
@@ -64,13 +63,13 @@ def pairing(expr: KappaExpression, v: InvariantVector) -> Fraction:
     )
 
 
-def bundle_signature_divisor(m: int, ord: OrdParameter | int = 1) -> int:
+def bundle_signature_divisor(m: int, ord: int = 1) -> int:
     """Divisor of the signature of an admissible total space over a surface.
 
     4 in the three exceptional dimensions, the minimal highly connected
     signature otherwise.
     """
-    ord = _ord_gate(m, ord, None)
+    _ord_gate(m, ord, None)
     if m in (1, 2, 4):
         return 4
     value, _ = minimal_signature(m, ord)
@@ -84,7 +83,7 @@ def signature_4_realizable(m: int) -> bool:
 
 
 def _kappa_terms(
-    m: int, ord: OrdParameter, bezout: BezoutPair | None
+    m: int, ord: int, bezout: BezoutPair | None
 ) -> list[tuple[int, int, int]]:
     """The kappa basis as rows ``(top num, half num, den)`` over one unreduced denominator."""
     if m == 1:
@@ -101,13 +100,13 @@ def _kappa_terms(
     jk2 = pk.j**2
     q = prof.fact // pk.fact**2
     mixed = (2 * jk2, -(jk2 + q * prof.j * y), 2 * dm * jk2)
-    pure = (0, 1, 2 * lambda_k(k) * pk.a**2 * ord.value * pk.fact**2)
+    pure = (0, 1, 2 * lambda_k(k) * pk.a**2 * ord * pk.fact**2)
     return [mixed, pure]
 
 
 def kappa_basis(
     m: int,
-    ord: OrdParameter | int = 1,
+    ord: int = 1,
     bezout: BezoutPair | None = None,
 ) -> list[KappaExpression]:
     """Integral basis of the free second cohomology in kappa classes.
@@ -129,7 +128,7 @@ def kappa_basis(
 
 
 def _kappa_basis(
-    m: int, ord: OrdParameter, bezout: BezoutPair | None, arg: None
+    m: int, ord: int, bezout: BezoutPair | None, arg: None
 ) -> tuple[KappaExpression, ...]:
     return tuple(
         KappaExpression(Fraction(tn, den), Fraction(hn, den))
@@ -139,7 +138,7 @@ def _kappa_basis(
 
 def pairing_matrix(
     m: int,
-    ord: OrdParameter | int = 1,
+    ord: int = 1,
     bezout: BezoutPair | None = None,
 ) -> list[list[Fraction]]:
     """Pairings of the kappa basis against the signature_in_4Z generators.
@@ -160,7 +159,7 @@ def pairing_matrix(
 
 
 def _pairing_matrix(
-    m: int, ord: OrdParameter, bezout: BezoutPair | None, arg: None
+    m: int, ord: int, bezout: BezoutPair | None, arg: None
 ) -> tuple[tuple[Fraction, ...], ...]:
     terms = _kappa_terms(m, ord, bezout)
     basis = _basis(m, ord, bezout, "signature_in_4Z")
@@ -184,7 +183,7 @@ class DivisibilityReport:
     """
 
     m: int
-    ord: OrdParameter
+    ord: int
     signature_divisor: int
     ahat_divisor: int | None
     realizable_at_genus: str
@@ -192,7 +191,7 @@ class DivisibilityReport:
     non_admissible_ahat_divisor: int | None
 
 
-def divisibility_report(m: int, ord: OrdParameter | int = 1) -> DivisibilityReport:
+def divisibility_report(m: int, ord: int = 1) -> DivisibilityReport:
     """Assemble the full divisibility report for dimension parameter ``m``.
 
     The report is memoized per ``(m, ord)``, about 0.8 KB at ``m = 600``; it
@@ -202,7 +201,7 @@ def divisibility_report(m: int, ord: OrdParameter | int = 1) -> DivisibilityRepo
     return _answer(_divisibility_report, _ord_gate, m, ord, None)
 
 
-def _divisibility_report(m: int, ord: OrdParameter, bezout: None, arg: None) -> DivisibilityReport:
+def _divisibility_report(m: int, ord: int, bezout: None, arg: None) -> DivisibilityReport:
     sig = bundle_signature_divisor(m, ord)
     ahat = minimal_ahat(m) if m >= 2 else None
     return DivisibilityReport(

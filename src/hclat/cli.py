@@ -161,7 +161,7 @@ def _cmd_bundle(args) -> int:
     _emit(
         {
             "m": report.m,
-            "ord": report.ord.value,
+            "ord": report.ord,
             "signature_divisor": report.signature_divisor,
             "ahat_divisor": report.ahat_divisor,
             "signature_4_realizable": bundles.signature_4_realizable(args.m),
@@ -184,8 +184,6 @@ def _cmd_kappa_basis(args) -> int:
 def _cmd_verify(args) -> int:
     from . import verify
 
-    if args.checkpoint == "":
-        raise ValueError("--checkpoint needs a file path, not an empty string")
     fn = verify.CLAIMS[args.claim]
     if args.max is not None:
         m_max = args.max

@@ -96,6 +96,14 @@ def _require_index(value: object, name: str, lo: int, hi: int = INDEX_MAX) -> No
         raise OverflowError(f"{name} must be <= {hi}, got {value}")
 
 
+def _exact_int(num: int, den: int, what: str) -> int:
+    """``num / den`` for ``den > 0``; RuntimeError unless it is an integer."""
+    q, r = divmod(num, den)
+    if r:
+        raise RuntimeError(f"{what} is not an integer: {Fraction(num, den)}")
+    return q
+
+
 def allow_big_str() -> None:
     """Raise the int-to-str digit limit, which large scans and queries exceed."""
     if sys.get_int_max_str_digits() < 2_000_000:

@@ -129,11 +129,10 @@ def genus_coeffs(genus: str, m: int) -> GenusCoefficients:
     return _answer(_genus_coeffs, _genus_gate, m, 1, None, genus)
 
 
-def _genus_gate(m: int, ord: int, genus: str) -> int:
+def _genus_gate(m: int, ord: int, genus: str) -> None:
     if genus not in GENERA:
         raise ValueError(f"unknown genus {genus!r}; expected one of {GENERA}")
     _require_index(m, "m", 1)
-    return ord
 
 
 def _genus_coeffs(m: int, ord: int, bezout: None, genus: str) -> GenusCoefficients:

@@ -19,15 +19,13 @@ det(A) times B2's, so the lattices agree exactly when |det(A)| = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
-from .exact import BezoutPair, _require_index, gcd_with_square, nu2
+from .exact import BezoutPair, _exact_int, _require_index, gcd_with_square, nu2
 from .plumbing import _answer, _bezout_terms, lambda_k, profile
 
 __all__ = [
     "VARIANTS",
-    "OrdParameter",
     "InvariantVector",
     "KernelStructure",
     "LatticeBasis",
@@ -42,60 +40,39 @@ __all__ = [
 VARIANTS = ("full_kernel", "signature_in_4Z")
 
 
-@dataclass(frozen=True)
-class OrdParameter:
-    """The order of the hyperbolic plumbing's boundary sphere in coker(J).
+def _check_ord(ord: int, m: int) -> None:
+    """ValueError unless ``ord`` can be the order of the hyperbolic plumbing's boundary
+    sphere in coker(J) at ``m``, which every caller has gated.
 
-    Constraints enforced on construction, besides ``type(value) is int``, ``value >= 1``,
-    ``type(m) is int`` and ``m >= 1``:
+    Constraints, besides ``type(ord) is int`` and ``ord >= 1``:
 
-    * ``value == 1`` for odd ``m != 5`` and for ``m in {2, 4}``;
-    * ``value`` divides ``j_{m/2}^2`` for even ``m`` not in ``{2, 4}``;
-    * ``nu2(value) <= 2 nu2(m) + 4`` (this is the only constraint that is
+    * ``ord == 1`` for odd ``m != 5`` and for ``m in {2, 4}``;
+    * ``ord`` divides ``j_{m/2}^2`` for even ``m`` not in ``{2, 4}``;
+    * ``nu2(ord) <= 2 nu2(m) + 4`` (this is the only constraint that is
       not implied by the others, and it only bites at ``m = 5``).
 
     For ``m = 5`` the order is genuinely unknown, so it must be supplied
     explicitly; the functions taking ``ord`` default to the conjectural 1.
     """
-
-    value: int
-    m: int
-
-    def __post_init__(self) -> None:
-        _require_index(self.m, "m", 1)
-        if type(self.value) is not int or self.value < 1:
-            raise ValueError("ord must be a positive integer")
-        if self.m % 2 and self.m != 5:
-            if self.value != 1:
-                raise ValueError(f"ord must be 1 for odd m != 5, got {self.value}")
-        elif self.m in (2, 4):
-            if self.value != 1:
-                raise ValueError(f"ord is known to be 1 for m={self.m}")
-        elif self.m % 2 == 0:
-            j_half = profile(self.m // 2).j
-            if j_half**2 % self.value:
-                raise ValueError(
-                    f"ord={self.value} does not divide j_{self.m // 2}^2 = {j_half**2}"
-                )
-        if nu2(self.value) > 2 * nu2(self.m) + 4:
-            raise ValueError(
-                f"nu2(ord)={nu2(self.value)} exceeds the bound {2 * nu2(self.m) + 4}"
-            )
+    if type(ord) is not int or ord < 1:
+        raise ValueError("ord must be a positive integer")
+    if m % 2 and m != 5:
+        if ord != 1:
+            raise ValueError(f"ord must be 1 for odd m != 5, got {ord}")
+    elif m in (2, 4):
+        if ord != 1:
+            raise ValueError(f"ord is known to be 1 for m={m}")
+    elif m % 2 == 0:
+        j_half = profile(m // 2).j
+        if j_half**2 % ord:
+            raise ValueError(f"ord={ord} does not divide j_{m // 2}^2 = {j_half**2}")
+    if nu2(ord) > 2 * nu2(m) + 4:
+        raise ValueError(f"nu2(ord)={nu2(ord)} exceeds the bound {2 * nu2(m) + 4}")
 
 
-def _as_ord(ord: "OrdParameter | int", m: int) -> OrdParameter:
-    """``ord`` checked against the gated ``m``; anything else becomes a new, validated
-    ``OrdParameter`` on every call (a kept answer is read before any gate)."""
-    if isinstance(ord, OrdParameter):
-        if ord.m != m:
-            raise ValueError(f"ord parameter is for m={ord.m}, not m={m}")
-        return ord
-    return OrdParameter(ord, m)
-
-
-def _ord_gate(m: int, ord: "OrdParameter | int", arg: None) -> OrdParameter:
+def _ord_gate(m: int, ord: int, arg: None) -> None:
     _require_index(m, "m", 1)
-    return _as_ord(ord, m)
+    _check_ord(ord, m)
 
 
 @dataclass(frozen=True)
@@ -130,12 +107,12 @@ class KernelStructure:
 @dataclass(frozen=True)
 class LatticeBasis:
     m: int
-    ord: OrdParameter
+    ord: int
     variant: str
     generators: tuple[tuple[str, InvariantVector], ...]
 
 
-def kernel_structure(m: int, ord: OrdParameter | int = 1) -> KernelStructure:
+def kernel_structure(m: int, ord: int = 1) -> KernelStructure:
     """Group structure of highly connected bordism modulo homotopy spheres.
 
     Rank 1 with a Z/2 summand for ``m = 1 mod 4`` (the Z/2 is present at
@@ -143,27 +120,19 @@ def kernel_structure(m: int, ord: OrdParameter | int = 1) -> KernelStructure:
     rank 2 for even ``m``.
     """
     _require_index(m, "m", 2)
-    ord = _as_ord(ord, m)
+    _check_ord(ord, m)
     if m % 2 == 0:
         return KernelStructure(2, ())
     if m % 4 == 3:
         return KernelStructure(1, ())
     if m == 5:
-        return KernelStructure(1, (2,)) if ord.value == 1 else KernelStructure(1, ())
+        return KernelStructure(1, (2,)) if ord == 1 else KernelStructure(1, ())
     return KernelStructure(1, (2,))
-
-
-def _exact_int(num: int, den: int, what: str) -> int:
-    """``num / den`` for ``den > 0``; RuntimeError unless it is an integer."""
-    q, r = divmod(num, den)
-    if r:
-        raise RuntimeError(f"{what} is not an integer: {Fraction(num, den)}")
-    return q
 
 
 def generator_invariants(
     m: int,
-    ord: OrdParameter | int = 1,
+    ord: int = 1,
     variant: str = "full_kernel",
     bezout: BezoutPair | None = None,
 ) -> LatticeBasis:
@@ -190,22 +159,23 @@ def generator_invariants(
     return _answer(_generator_invariants, _variant_gate, m, ord, bezout, variant)
 
 
-def _variant_gate(m: int, ord: OrdParameter | int, variant: str) -> OrdParameter:
+def _variant_gate(m: int, ord: int, variant: str) -> None:
     _require_index(m, "m", 2)
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
-    return _as_ord(ord, m)
+    _check_ord(ord, m)
 
 
-def _basis(m: int, ord: OrdParameter, bezout: BezoutPair | None, variant: str) -> LatticeBasis:
+def _basis(m: int, ord: int, bezout: BezoutPair | None, variant: str) -> LatticeBasis:
     """The basis for a checked pair, not checked again; the kept one for ``None``."""
     if bezout is None:
         return generator_invariants(m, ord, variant)
-    return _generator_invariants(m, _variant_gate(m, ord, variant), bezout, variant)
+    _variant_gate(m, ord, variant)
+    return _generator_invariants(m, ord, bezout, variant)
 
 
 def _generator_invariants(
-    m: int, ord: OrdParameter, bezout: BezoutPair | None, variant: str
+    m: int, ord: int, bezout: BezoutPair | None, variant: str
 ) -> LatticeBasis:
     if variant != "full_kernel":
         # the full basis (the kept one for the canonical pair) with its second generator
@@ -231,7 +201,7 @@ def _generator_invariants(
     g1 = InvariantVector(prof.sigma, -prof.num4, prof.fact * prof.j, 0)
 
     # the weight is wn / wd; y and x carry the Bezout pair (plumbing._bezout_terms)
-    wn, wd = ord.value * pk.a**2, lambda_k(k)
+    wn, wd = ord * pk.a**2, lambda_k(k)
     y, x = _bezout_terms(k, bezout or prof.bezout)
     jk2, fk2 = pk.j**2, pk.fact**2
     t2 = prof.num4 * jk2
@@ -252,7 +222,7 @@ def _generator_invariants(
     return LatticeBasis(m, ord, variant, (("(sigma/8)*P", g1), (label, g2)))
 
 
-def minimal_signature(m: int, ord: OrdParameter | int = 1) -> tuple[int, int | None]:
+def minimal_signature(m: int, ord: int = 1) -> tuple[int, int | None]:
     """Minimal positive signature of a closed highly connected 4m-manifold.
 
     Returns ``(value, exponent)`` where ``exponent`` is the 2-power
@@ -268,14 +238,14 @@ def minimal_signature(m: int, ord: OrdParameter | int = 1) -> tuple[int, int | N
 
 
 def _minimal_signature(
-    m: int, ord: OrdParameter, bezout: None, arg: None
+    m: int, ord: int, bezout: None, arg: None
 ) -> tuple[int, int | None]:
     if m in (1, 2, 4):
         return 1, None
     if m % 2:
         return profile(m).sigma, None
     half = profile(m // 2)
-    i_m = min(0, nu2(ord.value) - 2 * nu2(m) - 4 + 2 * nu2(half.a))
+    i_m = min(0, nu2(ord) - 2 * nu2(m) - 4 + 2 * nu2(half.a))
     nu, odd = gcd_with_square(profile(m).sigma, half.sigma)
     if nu + i_m < 0:
         raise RuntimeError(f"2^{i_m} gcd(...) is not an integer at m={m}")

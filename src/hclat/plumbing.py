@@ -34,7 +34,7 @@ from math import factorial
 from typing import Any, TypeVar
 
 from .bernoulli import bernoulli_record, tangent_number
-from .exact import BezoutPair, _require_index, normalize_bezout
+from .exact import BezoutPair, _exact_int, _require_index, normalize_bezout
 
 __all__ = [
     "DimensionProfile",
@@ -129,15 +129,15 @@ _answers: dict[tuple[Callable[..., Any], int, int, Any], Any] = {}
 
 
 def _answer(
-    compute: Callable[..., _T], gate: Callable[..., Any], m: int, ord: Any,
+    compute: Callable[..., _T], gate: Callable[..., None], m: int, ord: Any,
     bezout: BezoutPair | None, arg: str | None = None,
 ) -> _T:
     """``compute(m, ord, bezout, arg)``, kept under ``(compute, m, ord, arg)`` for the
     canonical pair and read back from the raw arguments by the rule of the module docstring.
-    On a miss, ``gate(m, ord, arg)`` checks the arguments and returns the checked ord (an
-    ``OrdParameter``, or the 1 of an answer that takes none); then any pair but the canonical
-    one is checked here, the one check of a given pair, and goes to ``compute`` on every
-    call; ``compute`` reads ``None`` as the canonical pair.  A raise keeps nothing.  The
+    On a miss, ``gate(m, ord, arg)`` only checks the arguments, so ``compute`` and the key
+    get them as given; then any pair but the canonical one is checked here, the one check of
+    a given pair, and goes to ``compute`` on every call; ``compute`` reads ``None`` as the
+    canonical pair.  A raise keeps nothing.  The
     twelve answers at one ``(m, ord)`` take about 14 KB at ``m = 60`` and 62 KB at ``m = 600``.
     """
     if type(m) is int and type(ord) is int and (
@@ -149,26 +149,24 @@ def _answer(
             out = None
         if out is not None:
             return out
-    ord = gate(m, ord, arg)
+    gate(m, ord, arg)
     if bezout is not None:
         canonical = profile(m).bezout
         if bezout is not canonical and bezout != canonical:
             return compute(m, ord, require_bezout_for(m, bezout), arg)
-    key = (compute, m, getattr(ord, "value", ord), arg)
+    key = (compute, m, ord, arg)
     out = _answers.get(key)
     if out is None:
         out = _answers.setdefault(key, compute(m, ord, None, arg))
     return out
 
 
-def _index_from_1(m: int, ord: int, arg: None) -> int:
+def _index_from_1(m: int, ord: int, arg: None) -> None:
     _require_index(m, "m", 1)
-    return ord
 
 
-def _index_from_2(m: int, ord: int, arg: None) -> int:
+def _index_from_2(m: int, ord: int, arg: None) -> None:
     _require_index(m, "m", 2)
-    return ord
 
 
 def _drop_answers(m: int) -> None:
@@ -269,10 +267,7 @@ def _s_of_Q(m: int, ord: int, bezout: BezoutPair | None, arg: None) -> int:
             f"the two formulas for s(Q) disagree at k={k}: "
             f"{Fraction(n1, d1)} != {Fraction(n2, d2)}"
         )
-    q, r = divmod(n1, d1)
-    if r:
-        raise RuntimeError(f"s(Q) at k={k} is not an integer: {Fraction(n1, d1)}")
-    return q
+    return _exact_int(n1, d1, f"s(Q) at k={k}")
 
 
 def stolz_s(sigma_M: int, S_eval: Fraction | int) -> int:

@@ -31,7 +31,7 @@ from math import comb, factorial, gcd, isqrt
 
 from hclat.bundles import KappaExpression
 from hclat.genera import GENERA, GenusCoefficients
-from hclat.lattices import VARIANTS, InvariantVector, LatticeBasis, _as_ord
+from hclat.lattices import VARIANTS, InvariantVector, LatticeBasis, _check_ord
 from hclat.plumbing import lambda_k, profile, require_bezout_for, sigma_over_a
 
 
@@ -308,7 +308,7 @@ def _exact_int(x: Fraction, what: str) -> int:
 
 def generator_invariants(
     m: int,
-    ord: OrdParameter | int = 1,
+    ord: int = 1,
     variant: str = "full_kernel",
     bezout: BezoutPair | None = None,
 ) -> LatticeBasis:
@@ -330,7 +330,7 @@ def generator_invariants(
         raise ValueError("m must be >= 2")
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
-    ord = _as_ord(ord, m)
+    _check_ord(ord, m)
     prof = profile(m)
     if m % 2:
         vec = InvariantVector(
@@ -348,9 +348,9 @@ def generator_invariants(
     g1 = InvariantVector(prof.sigma, -prof.num4, prof.fact * prof.j, 0)
 
     weight = (
-        Fraction(ord.value * pk.a**2, lambda_k(k))
+        Fraction(ord * pk.a**2, lambda_k(k))
         if variant == "full_kernel"
-        else Fraction(ord.value * pk.a**2 * lambda_k(k))
+        else Fraction(ord * pk.a**2 * lambda_k(k))
     )
     b4k = Fraction(pk.num4, pk.j)  # |B_{2k}| / 4k
     ratio = Fraction(pk.num4 * prof.j, 2 * prof.num4 * pk.j)  # |B_{2k}| / |B_{4k}|
@@ -381,7 +381,7 @@ def pairing(expr: KappaExpression, v: InvariantVector) -> Fraction:
 
 def kappa_basis(
     m: int,
-    ord: OrdParameter | int = 1,
+    ord: int = 1,
     bezout: BezoutPair | None = None,
 ) -> list[KappaExpression]:
     """Integral basis of the free second cohomology in kappa classes.
@@ -398,7 +398,7 @@ def kappa_basis(
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    ord = _as_ord(ord, m)
+    _check_ord(ord, m)
     if m == 1:
         return [KappaExpression(Fraction(1, 12), Fraction(0))]
     prof = profile(m)
@@ -415,14 +415,14 @@ def kappa_basis(
     )
     pure = KappaExpression(
         Fraction(0),
-        Fraction(1, 2 * lambda_k(k) * pk.a**2 * ord.value * pk.fact**2),
+        Fraction(1, 2 * lambda_k(k) * pk.a**2 * ord * pk.fact**2),
     )
     return [mixed, pure]
 
 
 def pairing_matrix(
     m: int,
-    ord: OrdParameter | int = 1,
+    ord: int = 1,
     bezout: BezoutPair | None = None,
 ) -> list[list[Fraction]]:
     """Pairings of the kappa basis against the signature_in_4Z generators.

@@ -21,7 +21,7 @@ from hclat.exact import BezoutPair
 from hclat.genera import GENERA, genus_coeffs, stolz_class_coeffs
 from hclat.lattices import (
     VARIANTS,
-    OrdParameter,
+    _check_ord,
     generator_invariants,
     kernel_structure,
     lattice_span_equal,
@@ -55,7 +55,7 @@ def _divisors(n: int) -> list[int]:
 def valid_ords(m: int, sample_above: int | None = None) -> list[int]:
     """Every valid ``ord`` at ``m``: all divisors of ``j_{m/2}^2`` for even ``m``
     outside {2, 4}, 1 elsewhere, and at ``m = 5``, whose ord is unknown, the
-    values 1..64 that the constructor accepts.  With ``sample_above``, the
+    values 1..64 that ``_check_ord`` accepts.  With ``sample_above``, the
     divisors past 64 are left out for ``m`` above it, all but ``j_{m/2}^2``."""
     if m == 5:
         candidates = range(1, 65)
@@ -66,7 +66,7 @@ def valid_ords(m: int, sample_above: int | None = None) -> list[int]:
         candidates = _divisors(j2)
         if sample_above is not None and m > sample_above:
             candidates = [o for o in candidates if o <= 64 or o == j2]
-    return [o for o in candidates if oracles.outcome(OrdParameter, o, m).startswith("OrdParameter")]
+    return [o for o in candidates if oracles.outcome(_check_ord, o, m) == "None"]
 
 
 def test_divisors():
@@ -372,7 +372,6 @@ M_FUNCTIONS = [
     ("kernel_structure", kernel_structure),
     ("kappa_basis", kappa_basis),
     ("genus_coeffs", lambda m: genus_coeffs("L", m)),
-    ("OrdParameter", lambda m: OrdParameter(1, m)),
     ("tangent_number", tangent_number),
     ("bernoulli_record", bernoulli_record),
     ("bernoulli_abs", bernoulli_abs),
@@ -400,14 +399,10 @@ WITH_ORD = [
 
 
 @pytest.mark.parametrize("m", [3, 5, 6, 12])
-@pytest.mark.parametrize("bad", [True, 1.0, Fraction(1), "OrdParameter for m + 2"], ids=repr)
+@pytest.mark.parametrize("bad", [True, 1.0, Fraction(1)], ids=repr)
 def test_non_int_ord_raises_the_same_cold_and_warm(cold, m, bad):
-    # each equals 1 or stands for it, and 1 is a valid ord at every m here
-    if bad == "OrdParameter for m + 2":
-        bad = OrdParameter(1, m + 2)
-        expected = f"ValueError: ord parameter is for m={m + 2}, not m={m}"
-    else:
-        expected = "ValueError: ord must be a positive integer"
+    # each equals 1, and 1 is a valid ord at every m here
+    expected = "ValueError: ord must be a positive integer"
     first = [oracles.outcome(fn, m, bad) for fn in WITH_ORD]
     assert first == [expected] * len(WITH_ORD)
     for fn in WITH_ORD:
@@ -417,12 +412,11 @@ def test_non_int_ord_raises_the_same_cold_and_warm(cold, m, bad):
 
 @pytest.mark.parametrize("bad", NOT_INT, ids=repr)
 def test_non_int_m_in_an_ord_parameter(cold, bad):
-    # _as_ord trusts the m its callers have gated: a non-int m is refused first, next to
-    # an int ord or a parameter built for int(m), however warm the answers at int(m) are
+    # _check_ord trusts the m its callers have gated: a non-int m is refused first, next to
+    # a valid int ord, however warm the answers at int(m) are
     expected = f"ValueError: m must be an int, got {bad!r}"
     for warm in (False, True):
         for fn in WITH_ORD:
             if warm:
                 oracles.outcome(fn, int(bad), 1)
             assert oracles.outcome(fn, bad, 1) == expected
-            assert oracles.outcome(fn, bad, OrdParameter(1, int(bad))) == expected

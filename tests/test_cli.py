@@ -416,12 +416,14 @@ class TestBadCheckpoint:
         assert err.startswith("error:")
         assert err.count("\n") == 1
 
-    def test_empty_path_error_names_the_option(self, capsys):
-        code, out, err = self.verify_with_checkpoint(capsys, "")
+    @pytest.mark.parametrize("claim", sorted(verify.CLAIMS))
+    def test_empty_path_is_one_error_line_for_every_claim(self, capsys, claim):
+        # the scan's own checkpoint refuses the empty path; main prints no traceback
+        code = main(["verify", claim, "--max", "10", "--checkpoint", ""])
+        captured = capsys.readouterr()
         assert code == 1
-        assert out == ""
-        assert err.startswith("error:")
-        assert "--checkpoint" in err
+        assert captured.out == ""
+        assert captured.err == "error: checkpoint path is empty\n"
 
     @pytest.mark.parametrize(
         "text", ["[]", "[" * 200000 + "]" * 200000], ids=["empty", "nested_200000_deep"]

@@ -8,14 +8,18 @@ import pytest
 
 import oracles
 from hclat import lattices, plumbing
-from hclat.bundles import divisibility_report, kappa_basis
+from hclat.bundles import (
+    bundle_signature_divisor,
+    divisibility_report,
+    kappa_basis,
+    pairing_matrix,
+)
 from hclat.exact import INDEX_MAX, nu2, padic_valuation
 from hclat.genera import genus_coeffs
 from hclat.lattices import (
     VARIANTS,
     InvariantVector,
     LatticeBasis,
-    OrdParameter,
     generator_invariants,
     kernel_structure,
     lattice_span_equal,
@@ -27,61 +31,77 @@ from hclat.plumbing import canonical_bezout, profile
 from oracles import hermite_normal_form
 
 
+WITH_ORD = [
+    kernel_structure,
+    generator_invariants,
+    minimal_signature,
+    bundle_signature_divisor,
+    kappa_basis,
+    pairing_matrix,
+    divisibility_report,
+]
+
+# (m, ord, message): each constraint _check_ord enforces, in its order
+REFUSED_ORDS = [
+    (6, 0, "ord must be a positive integer"),
+    (8, -1, "ord must be a positive integer"),
+    (6, "1", "ord must be a positive integer"),
+    (3, 2, "ord must be 1 for odd m != 5, got 2"),
+    (7, 3, "ord must be 1 for odd m != 5, got 3"),
+    (2, 2, "ord is known to be 1 for m=2"),
+    (4, 3, "ord is known to be 1 for m=4"),
+    (6, 11, "ord=11 does not divide j_3^2 = 254016"),
+    (12, 11, "ord=11 does not divide j_6^2 = 4292870400"),
+    (5, 32, "nu2(ord)=5 exceeds the bound 4"),
+    (5, 64, "nu2(ord)=6 exceeds the bound 4"),
+]
+
+# 3 and 7 divide j_3^2 = 504^2; at m = 5 the ord is unknown and 2-adically bounded
+ACCEPTED_ORDS = [(2, 1), (3, 1), (4, 1), (5, 1), (5, 2), (5, 3), (5, 16), (6, 1), (6, 3), (6, 7)]
+
+
 class TestOrdParameter:
+    """The ``ord`` argument of every function that takes one: a plain int, checked
+    against ``m`` by ``lattices._check_ord``."""
+
     def test_default_is_one(self):
-        assert generator_invariants(6).ord == OrdParameter(1, 6)
+        for ord in (generator_invariants(6).ord, divisibility_report(6).ord):
+            assert ord == 1 and type(ord) is int
 
-    def test_odd_m_must_be_one(self):
-        with pytest.raises(ValueError):
-            OrdParameter(2, 3)
+    @pytest.mark.parametrize("fn", WITH_ORD, ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("m, ord, message", REFUSED_ORDS, ids=repr)
+    def test_refused_with_its_message_cold_and_warm(self, cold, fn, m, ord, message):
+        with pytest.raises(ValueError) as info:
+            lattices._check_ord(ord, m)
+        assert str(info.value) == message
+        for warm in (False, True):
+            if warm:
+                fn(m, 1)  # the int 1's kept answers must not answer for a refused ord
+            with pytest.raises(ValueError) as info:
+                fn(m, ord)
+            assert str(info.value) == message
 
-    def test_known_small_even_cases(self):
-        with pytest.raises(ValueError):
-            OrdParameter(2, 2)
-        with pytest.raises(ValueError):
-            OrdParameter(3, 4)
-
-    def test_even_m_divides_j_half_squared(self):
-        OrdParameter(3, 6)   # 3 divides 504^2
-        OrdParameter(7, 6)   # 7 divides 504^2
-        with pytest.raises(ValueError):
-            OrdParameter(11, 6)
-
-    def test_m_5_two_adic_bound(self):
-        OrdParameter(2, 5)
-        OrdParameter(16, 5)
-        with pytest.raises(ValueError):
-            OrdParameter(32, 5)
-
-    def test_positive(self):
-        with pytest.raises(ValueError):
-            OrdParameter(0, 6)
+    @pytest.mark.parametrize("m, ord", ACCEPTED_ORDS, ids=repr)
+    def test_accepted_by_every_function(self, m, ord):
+        assert lattices._check_ord(ord, m) is None
+        for fn in WITH_ORD:
+            fn(m, ord)
+        for kept in (generator_invariants(m, ord).ord, divisibility_report(m, ord).ord):
+            assert kept == ord and type(kept) is int
 
     @pytest.mark.parametrize("m", [3, 5, 6])
     @pytest.mark.parametrize("value", [Fraction(1), True, 1.0, "1"], ids=repr)
     def test_value_must_be_an_int(self, value, m):
         # each equals 1 or converts to it, and 1 is a valid ord at every m here
         with pytest.raises(ValueError, match="positive integer"):
-            OrdParameter(value, m)
+            lattices._check_ord(value, m)
         for build in (generator_invariants, kappa_basis):
             build(m, 1)  # the int's kept answer must not answer for it
             with pytest.raises(ValueError, match="positive integer"):
                 build(m, value)
 
 
-    @pytest.mark.parametrize(
-        "call",
-        [
-            lambda m: OrdParameter(1, m),
-            lambda m: generator_invariants(m),
-            minimal_signature,
-            kappa_basis,
-            divisibility_report,
-            kernel_structure,
-        ],
-        ids=["OrdParameter", "generator_invariants", "minimal_signature", "kappa_basis",
-             "divisibility_report", "kernel_structure"],
-    )
+    @pytest.mark.parametrize("call", WITH_ORD, ids=lambda fn: fn.__name__)
     @pytest.mark.parametrize("m", [INDEX_MAX + 2, 10**12, 10**20])
     def test_too_large_even_m_is_named_itself(self, monkeypatch, call, m):
         # the gate refuses m before j_{m/2} is read, so the error names m, not m/2
@@ -371,7 +391,7 @@ class TestLatticeSpanEqual:
 def _basis(*vectors) -> LatticeBasis:
     return LatticeBasis(
         6,
-        OrdParameter(1, 6),
+        1,
         "full_kernel",
         tuple((f"v{i}", InvariantVector(*v)) for i, v in enumerate(vectors)),
     )
@@ -600,20 +620,14 @@ class TestOrdCache:
     def test_invalid_int_raises_every_time(self, ord, m):
         for _ in range(2):
             with pytest.raises(ValueError):
-                lattices._as_ord(ord, m)
+                lattices._check_ord(ord, m)
         with pytest.raises(ValueError):
             generator_invariants(m, ord)
 
-    def test_parameter_for_another_m_rejected(self):
-        lattices._as_ord(1, 6)
-        for _ in range(2):
-            with pytest.raises(ValueError, match="m=6, not m=8"):
-                lattices._as_ord(OrdParameter(1, 6), 8)
-
     def test_equal_non_int_does_not_replace_the_int(self):
         with pytest.raises(ValueError):
-            lattices._as_ord(True, 10)
-        assert type(lattices._as_ord(1, 10).value) is int
+            generator_invariants(10, True)
+        assert type(generator_invariants(10, 1).ord) is int
 
 
 class TestNu2FastPath:
